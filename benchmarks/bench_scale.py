@@ -4,9 +4,10 @@ Drives ``repro.arraycore.pipeline.run_pipeline`` — partition → anonymize →
 publish → backbone → sample, every post-partition stage on flat CSR arrays —
 over Barabási–Albert and Watts–Strogatz graphs at growing sizes, recording
 wall time and peak RSS per stage. At sizes where the dict oracle is feasible
-(``--parity-max``, default 2e4) the identical run is replayed through
-``engine="reference"`` and the artifact digests must match byte-for-byte:
-that is the parity gate, and the two totals give the measured speedup.
+(``--parity-max``, default 2e4) the identical run is replayed through the
+seed dict oracles (``repro.core.reference.reference_pipeline``) and the
+artifact digests must match byte-for-byte: that is the parity gate, and the
+two totals give the measured speedup.
 
 Run from the repo root::
 
@@ -16,9 +17,9 @@ Run from the repo root::
 
 ``--quick`` is the CI profile: n=2e4 only, parity gate on. Any parity
 mismatch exits non-zero regardless of flags; ``--check`` additionally
-enforces the PR's acceptance threshold (array engine ≥ 3x faster than the
-reference engine end-to-end at every parity point — not enforced in CI,
-where shared runners are too noisy).
+enforces the acceptance threshold (the array pipeline ≥ 3x faster than the
+oracle replay end-to-end at every parity point — not enforced in CI, where
+shared runners are too noisy).
 
 Peak RSS is the process-wide high-water mark (``resource.getrusage``), so
 per-stage and per-run values are cumulative maxima, not independent
@@ -34,6 +35,7 @@ import sys
 from random import Random
 
 from repro.arraycore.pipeline import run_pipeline
+from repro.core.reference import reference_pipeline
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.isomorphism.orbits import automorphism_partition
 from repro.runtime import Stopwatch, peak_rss_bytes
@@ -81,8 +83,7 @@ def run_one(family: str, n: int, k: int, seed: int, parity: bool) -> dict:
     partition_seconds = watch.elapsed()
 
     array_report = run_pipeline(
-        graph, k, partition=partition, copy_unit="orbit",
-        engine="array", seed=seed,
+        graph, k, partition=partition, copy_unit="orbit", seed=seed,
     )
     row = {
         "family": family,
@@ -103,9 +104,8 @@ def run_one(family: str, n: int, k: int, seed: int, parity: bool) -> dict:
         "artifacts": array_report.artifacts,
     }
     if parity:
-        reference_report = run_pipeline(
-            graph, k, partition=partition, copy_unit="orbit",
-            engine="reference", seed=seed,
+        reference_report = reference_pipeline(
+            graph, k, partition=partition, copy_unit="orbit", seed=seed,
         )
         reference_total = _stage_total(reference_report)
         array_total = _stage_total(array_report)

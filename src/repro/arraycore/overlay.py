@@ -15,8 +15,9 @@ overlay appends; copy operations cost O(degree) appends instead of a dict
 rebuild or CSR re-freeze per step. When the growth is finished,
 :meth:`freeze` compacts everything back into flat CSR arrays (one vectorised
 sort) for the publication writer and the samplers, and :meth:`to_graph`
-materialises the dict :class:`repro.graphs.Graph` **compatibility view** for
-callers that still want the mutable API.
+hands the result back across the boundary of :mod:`repro.arraycore.space`
+as a dict :class:`repro.graphs.Graph` in the caller's labels: the input
+graph plus the overlay's insertions, relabelled.
 
 The overlay stores each undirected edge in both directions, mirroring CSR
 ``nnz = 2m``. Callers are trusted not to insert duplicate edges or
@@ -26,9 +27,12 @@ new edge is incident to a vertex minted in the same operation).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.arraycore.space import array_space
+from repro.graphs.graph import Graph, Vertex
 
 __all__ = ["OverlayGraph"]
 
@@ -51,27 +55,20 @@ class OverlayGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "OverlayGraph":
-        """Snapshot a dict graph whose vertices are exactly ``0..n-1``.
+        """Snapshot a graph whose vertices are exactly ``0..n-1``.
 
-        Raises :class:`ValueError` otherwise — callers dispatch on
-        :func:`supports` first.
+        Any insertion order works (rows come from
+        :func:`repro.arraycore.space.array_space`); other labels raise
+        :class:`ValueError` — go through ``array_space`` and map results
+        back with its labels instead.
         """
-        csr = graph.csr()
-        if csr.vertices != tuple(range(csr.n)):
+        indptr, indices, labels = array_space(graph)
+        if not isinstance(labels, range):
             raise ValueError(
-                "OverlayGraph requires contiguous integer vertices 0..n-1; "
-                "apply naive_anonymization / to_integer_labels first"
+                "OverlayGraph.from_graph requires vertices 0..n-1; "
+                "relabel with to_integer_labels() first"
             )
-        return cls(csr.indptr, csr.indices)
-
-    @staticmethod
-    def supports(graph: Graph) -> bool:
-        """Whether *graph* lives in the array core's vertex space (ints 0..n-1,
-        in insertion order — what :func:`repro.core.naive_anonymization`
-        produces)."""
-        if graph.n == 0:
-            return False
-        return graph.csr().vertices == tuple(range(graph.n))
+        return cls(indptr, indices)
 
     # ------------------------------------------------------------------
 
@@ -168,15 +165,20 @@ class OverlayGraph:
         indices -= keys
         return indptr, indices
 
-    def to_graph(self) -> Graph:
-        """The dict :class:`Graph` compatibility view (vertices 0..n-1 in order)."""
-        indptr, indices = self.freeze()
-        n = self._n
-        g = Graph()
-        adj = g._adj
-        ind_list = indices.tolist()
-        ptr_list = indptr.tolist()
-        for v in range(n):
-            adj[v] = set(ind_list[ptr_list[v]:ptr_list[v + 1]])
-        g._m = self._m
-        return g
+    def to_graph(self, base: Graph, labels: Sequence[Vertex]) -> Graph:
+        """*base* plus the overlay's insertions, as a dict :class:`Graph`.
+
+        *base* is the graph this overlay snapshots and ``labels[i]`` the
+        label of vertex ``i``, fresh vertices included
+        (:func:`repro.arraycore.space.grown_labels`). The result keeps
+        *base*'s insertion order followed by the fresh vertices in minting
+        order — what growing *base* in place would have produced.
+        """
+        graph = base.copy()
+        adj = graph._adj
+        for v in range(self.base_n, self._n):
+            adj[labels[v]] = set()
+        for v, row in self._extra.items():
+            adj[labels[v]].update([labels[u] for u in row])
+        graph._m = self._m
+        return graph

@@ -1,17 +1,19 @@
 """Orbit copying (paper Definition 3) as append-only array passes.
 
-:class:`ArrayPartitionedGraph` is the array-core twin of
-:class:`repro.core.orbit_copy.MutablePartitionedGraph`: the same tracked
-sub-automorphism partition under copy operations, but over an
-:class:`repro.arraycore.OverlayGraph` instead of a mutable dict graph —
-cell membership is a flat ``cell_of`` list, fresh vertices are batch
-appends, and each copy operation walks CSR rows instead of dict sets.
+:class:`ArrayPartitionedGraph` is a graph grown by copy operations plus the
+sub-automorphism partition tracked through them, over an
+:class:`repro.arraycore.OverlayGraph`: cell membership is a flat ``cell_of``
+list, fresh vertices are batch appends, and each copy operation walks CSR
+rows. Its :meth:`~ArrayPartitionedGraph.grow` is the one growth driver
+behind ``anonymize``, ``anonymize_f``, ``republish``, the exact sampler and
+the scale pipeline.
 
 Byte-parity contract (pinned by ``repro.audit``'s ``differential:arraycore``
-check): for any contiguous-int-vertex input, the grown graph, the final
-partition, the provenance ``records``/``copy_of`` and the fresh-id minting
-sequence are identical to the dict twin's. Fresh ids are minted sequentially
-from ``max(vertex)+1`` in member order; outside anchors attach to copies in
+check and the tier-1 parity tests): the grown graph, the final partition,
+the provenance ``records``/``copy_of`` and the fresh-id minting sequence
+are identical to the dict oracle
+:class:`repro.core.orbit_copy.MutablePartitionedGraph`'s. Fresh ids are
+minted sequentially in member order; outside anchors attach to copies in
 the same (u, v') pairs; member-internal edges are mirrored once.
 
 ``track_records=False`` skips materialising per-operation
@@ -23,11 +25,10 @@ entry point always tracks records; the scale pipeline does not.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.arraycore.overlay import OverlayGraph
 from repro.core.orbit_copy import CopyRecord
-from repro.graphs.partition import Partition
 from repro.utils.validation import AnonymizationError
 
 __all__ = ["ArrayPartitionedGraph"]
@@ -54,21 +55,15 @@ class ArrayPartitionedGraph:
         self.cell_of: list[int] = cell_of
         self.original_members: list[list[int]] = [list(cell) for cell in self.cells]
         # Direct parent of every vertex: -1 for originals, the copied vertex
-        # for fresh ids (the compact form of the dict twin's ``copy_of``).
+        # for fresh ids (the compact form of ``copy_of``).
         self.parent_of: list[int] = [-1] * n
         self.records: list[CopyRecord] | None = [] if track_records else None
         self._fresh = n
 
     # ------------------------------------------------------------------
 
-    def cell_size(self, cell_index: int) -> int:
-        return len(self.cells[cell_index])
-
-    def to_partition(self) -> Partition:
-        return Partition([list(cell) for cell in self.cells])
-
     def copy_of_dict(self) -> dict[int, int]:
-        """``fresh -> parent`` for every minted vertex (dict-twin ``copy_of``)."""
+        """``fresh -> parent`` for every minted vertex."""
         parent = self.parent_of
         return {v: parent[v] for v in range(self.overlay.base_n, len(parent))}
 
@@ -77,9 +72,10 @@ class ArrayPartitionedGraph:
     def copy_members(self, cell_index: int, members: Sequence[int]) -> None:
         """One copy operation on *members* of cell *cell_index* (Definition 3).
 
-        Same contract as the dict twin: members must belong to the cell and
-        be closed under the cell-induced adjacency; violations raise
-        :class:`AnonymizationError`.
+        Members must belong to the cell and be closed under the cell-induced
+        adjacency (a union of connected components of the induced subgraph —
+        whole original orbits and backbone components both are); violations
+        raise :class:`AnonymizationError`.
         """
         if not members:
             raise AnonymizationError("copy operation on an empty member list")
@@ -111,8 +107,7 @@ class ArrayPartitionedGraph:
                             f"edge ({u}, {v}) crosses the member boundary inside the cell"
                         )
                     if j < i:
-                        # Mirror each member-internal edge exactly once (the
-                        # dict twin deduplicates through its neighbour sets).
+                        # Mirror each member-internal edge exactly once.
                         add_edge(fresh0 + j, nv)
                         edges_added += 1
 
@@ -140,9 +135,13 @@ class ArrayPartitionedGraph:
     def component_copy_unit(self, cell_index: int) -> list[int]:
         """The Section 5.1 copy unit: one representative per `≅_L`-class.
 
-        Grouping runs on the array component pass
-        (:func:`repro.arraycore.backbone.component_classes_arrays`), matching
-        the dict twin's :func:`repro.core.backbone.component_classes` output.
+        Copying a *single* component would be unsound when the cell holds
+        several classes (its anchors' symmetry with the other classes'
+        anchors breaks: in the paper's Figure 3 graph, duplicating vertex 4
+        without 5 leaves their neighbours 6 and 7 at different degrees).
+        One representative of every class — the cell's backbone slice —
+        keeps the sub-automorphism property while inserting the minimum
+        |B_i| vertices per operation instead of |V_i|.
         """
         from repro.arraycore.backbone import component_classes_arrays
 
@@ -151,3 +150,22 @@ class ArrayPartitionedGraph:
             self.overlay.neighbors_list, lambda u: True, members
         )
         return sorted(v for cls in classes for v in cls[0])
+
+    def grow(self, requirements: Mapping[int, int], copy_unit: str) -> None:
+        """Grow every cell to ``requirements[i]`` members (default 1).
+
+        Whole-orbit copies for ``copy_unit="orbit"`` (Algorithm 1: a cell
+        of size s reaches ceil(k/s)*s members), the backbone slice for
+        ``"component"`` (Section 5.1). Cells grow in index order, which fixes
+        the fresh-id minting sequence.
+        """
+        for cell_index in range(len(self.cells)):
+            required = requirements.get(cell_index, 1)
+            if len(self.cells[cell_index]) >= required:
+                continue
+            if copy_unit == "component":
+                unit = self.component_copy_unit(cell_index)
+                while len(self.cells[cell_index]) < required:
+                    self.copy_members(cell_index, unit)
+            else:
+                self.grow_cell_to(cell_index, required)

@@ -72,13 +72,14 @@ def check_arraycore_parity(
 ) -> list[str]:
     """The array pipeline's artifacts must equal the dict oracles' byte for byte.
 
-    Replays partition → anonymize → publish → backbone → sample through both
-    ``engine="array"`` and ``engine="reference"`` of
-    :func:`repro.arraycore.pipeline.run_pipeline` (same partition, same RNG
-    stream) and compares every artifact digest. Non-integer corpora are
-    relabelled to 0..n-1 first — the array engine's input contract.
+    Replays partition → anonymize → publish → backbone → sample through
+    :func:`repro.arraycore.pipeline.run_pipeline` and its oracle replay
+    :func:`repro.core.reference.reference_pipeline` (same partition, same
+    RNG stream) and compares every artifact digest. Corpora are relabelled
+    to 0..n-1 first (insertion order kept) — the pipeline's input contract.
     """
     from repro.arraycore.pipeline import run_pipeline
+    from repro.core.reference import reference_pipeline
     from repro.isomorphism.orbits import automorphism_partition
 
     failures: list[str] = []
@@ -86,15 +87,12 @@ def check_arraycore_parity(
         return failures
     int_graph, _ = graph.to_integer_labels()
     partition = automorphism_partition(int_graph, method="stabilization").orbits
-    reports = {
-        engine: run_pipeline(
-            int_graph, k, partition=partition, copy_unit=copy_unit,
-            engine=engine, seed=seed,
-        )
-        for engine in ("array", "reference")
-    }
-    array_key = reports["array"].parity_key()
-    reference_key = reports["reference"].parity_key()
+    array_key = run_pipeline(
+        int_graph, k, partition=partition, copy_unit=copy_unit, seed=seed
+    ).parity_key()
+    reference_key = reference_pipeline(
+        int_graph, k, partition=partition, copy_unit=copy_unit, seed=seed
+    ).parity_key()
     if array_key != reference_key:
         for stage in sorted(set(array_key) | set(reference_key)):
             if array_key.get(stage) != reference_key.get(stage):

@@ -18,7 +18,7 @@
 """
 
 from repro.core.anonymize import AnonymizationResult, anonymize
-from repro.core.backbone import BackboneResult, backbone, component_classes
+from repro.core.backbone import BackboneResult, backbone
 from repro.core.colored import (
     anonymize_colored,
     colored_orbit_partition,
@@ -78,7 +78,6 @@ __all__ = [
     "excluded_vertices_by_fraction",
     "BackboneResult",
     "backbone",
-    "component_classes",
     "QuotientResult",
     "quotient",
     "PublicationBuffers",

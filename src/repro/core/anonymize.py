@@ -15,13 +15,17 @@ Two copy units are supported:
   only the smallest `≅_L`-class component inside the cell, minimising the
   number of newly-introduced vertices (the cell stops at exactly k or at
   most k + s_min - 1 members).
+
+Growth runs on the array core for every input (:func:`_grow`), byte-identical
+to the dict oracle :func:`repro.core.reference.reference_anonymize_cells`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.core.orbit_copy import CopyRecord, MutablePartitionedGraph
+from repro.core.orbit_copy import CopyRecord
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.isomorphism.orbits import automorphism_partition
@@ -29,7 +33,6 @@ from repro.utils.validation import AnonymizationError, check_positive_int
 
 _COPY_UNITS = ("orbit", "component")
 _METHODS = ("exact", "stabilization")
-_ENGINES = ("auto", "array", "reference")
 
 
 @dataclass
@@ -83,34 +86,12 @@ def _resolve_partition(graph: Graph, partition: Partition | None, method: str) -
     return automorphism_partition(graph, method=method).orbits
 
 
-def _grow_by_components(state: MutablePartitionedGraph, cell_index: int, required: int) -> None:
-    """Section 5.1: grow a cell by copying its backbone slice.
-
-    The copy unit is one representative component per `≅_L`-class of the
-    cell — exactly what remains of the cell in the graph backbone. Copying a
-    *single* component would be unsound when the cell holds several classes
-    (its anchors' symmetry with the other classes' anchors breaks: in the
-    paper's Figure 3 graph, duplicating vertex 4 without 5 leaves their
-    neighbours 6 and 7 at different degrees). Copying one representative of
-    every class simultaneously preserves the sub-automorphism property while
-    inserting the minimum |B_i| vertices per operation instead of |V_i|.
-    """
-    from repro.core.backbone import component_classes
-
-    members = state.original_members[cell_index]
-    classes = component_classes(state.graph, members)
-    unit = sorted(v for cls in classes for v in cls[0])
-    while state.cell_size(cell_index) < required:
-        state.copy_members(cell_index, unit)
-
-
 def anonymize(
     graph: Graph,
     k: int,
     partition: Partition | None = None,
     method: str = "exact",
     copy_unit: str = "orbit",
-    engine: str = "auto",
 ) -> AnonymizationResult:
     """Modify *graph* (insertions only) until every cell has >= k members.
 
@@ -128,13 +109,6 @@ def anonymize(
     copy_unit:
         ``"orbit"`` (Algorithm 1) or ``"component"`` (Section 5.1 minimal
         vertex insertion).
-    engine:
-        ``"auto"`` (default) runs the array-core copy engine whenever the
-        input has contiguous int vertices and falls back to the dict engine
-        otherwise; ``"array"`` forces the array engine (raising if the input
-        is unsupported); ``"reference"`` forces the dict engine. Both
-        engines produce byte-identical results — the choice only affects
-        speed and memory (see ``docs/scale.md``).
 
     Returns the full :class:`AnonymizationResult`; the publishable part is
     ``result.published()``. The original graph is a subgraph of the result
@@ -146,49 +120,50 @@ def anonymize(
     base_partition = _resolve_partition(graph, partition, method)
     requirements = {i: k for i in range(len(base_partition))}
     return _anonymize_with_requirements(
-        graph, base_partition, requirements, k=k, copy_unit=copy_unit, engine=engine
+        graph, base_partition, requirements, k=k, copy_unit=copy_unit
     )
 
 
-def _anonymize_with_arrays(
+def _grow(
     graph: Graph,
-    base_partition: Partition,
-    requirements: dict[int, int],
-    k: int,
+    cells: Iterable[Iterable[int]],
+    requirements: Mapping[int, int],
     copy_unit: str,
-) -> AnonymizationResult:
-    """Array-core driver: identical growth, overlay appends instead of dicts.
+) -> tuple[Graph, Partition, list[CopyRecord], dict[int, int]]:
+    """Grow cell i of *graph* to ``requirements[i]`` members (default 1).
 
-    Byte-parity with the dict driver is pinned by the
-    ``differential:arraycore`` audit check and the tier-1 engine tests: same
-    fresh-id minting order, same records, same final edge set.
+    The one growth driver behind :func:`anonymize`, ``anonymize_f``,
+    ``republish`` and the exact sampler: *graph* goes to array space
+    (:func:`repro.arraycore.space.array_space`),
+    :meth:`~repro.arraycore.ArrayPartitionedGraph.grow` copies there, and
+    the grown graph, its partition, the copy records and ``copy_of`` come
+    back in *graph*'s labels — fresh vertices minted from ``max + 1`` in
+    minting order, the input's insertion order kept.
     """
+    for v in graph:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise AnonymizationError(
+                f"vertex {v!r} is not an integer; apply naive_anonymization first"
+            )
     from repro.arraycore.overlay import OverlayGraph
+    from repro.arraycore.space import array_space, grown_labels, index_cells
     from repro.arraycore.state import ArrayPartitionedGraph
 
-    state = ArrayPartitionedGraph(OverlayGraph.from_graph(graph), base_partition.cells)
-    for cell_index in range(len(base_partition)):
-        required = requirements.get(cell_index, 1)
-        if state.cell_size(cell_index) >= required:
-            continue
-        if copy_unit == "component":
-            unit = state.component_copy_unit(cell_index)
-            while state.cell_size(cell_index) < required:
-                state.copy_members(cell_index, unit)
-        else:
-            state.grow_cell_to(cell_index, required)
-    records = state.records if state.records is not None else []
-    return AnonymizationResult(
-        graph=state.overlay.to_graph(),
-        partition=state.to_partition(),
-        original_graph=graph.copy(),
-        original_partition=base_partition,
-        k=k,
-        requirements=dict(requirements),
-        copy_unit=copy_unit,
-        records=list(records),
-        copy_of=state.copy_of_dict(),
-    )
+    indptr, indices, labels = array_space(graph)
+    state = ArrayPartitionedGraph(OverlayGraph(indptr, indices), index_cells(labels, cells))
+    state.grow(requirements, copy_unit)
+    label = grown_labels(labels, state.overlay.n)
+    records = [
+        CopyRecord(
+            record.cell_index,
+            {label[v]: label[c] for v, c in record.mapping.items()},
+            record.edges_added,
+        )
+        for record in state.records or ()
+    ]
+    copy_of = {label[v]: label[p] for v, p in state.copy_of_dict().items()}
+    partition = Partition([[label[v] for v in cell] for cell in state.cells])
+    return state.overlay.to_graph(graph, label), partition, records, copy_of
 
 
 def _anonymize_with_requirements(
@@ -197,37 +172,19 @@ def _anonymize_with_requirements(
     requirements: dict[int, int],
     k: int,
     copy_unit: str,
-    engine: str = "auto",
 ) -> AnonymizationResult:
     """Shared driver for plain k-symmetry and f-symmetry (per-cell targets)."""
-    if engine not in _ENGINES:
-        raise AnonymizationError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    from repro.arraycore.overlay import OverlayGraph
-
-    if engine != "reference" and OverlayGraph.supports(graph):
-        return _anonymize_with_arrays(graph, base_partition, requirements, k, copy_unit)
-    if engine == "array":
-        raise AnonymizationError(
-            "engine='array' requires contiguous int vertices 0..n-1; "
-            "relabel with to_integer_labels() or use engine='auto'"
-        )
-    state = MutablePartitionedGraph(graph, base_partition)
-    for cell_index in range(len(base_partition)):
-        required = requirements.get(cell_index, 1)
-        if state.cell_size(cell_index) >= required:
-            continue
-        if copy_unit == "component":
-            _grow_by_components(state, cell_index, required)
-        else:
-            state.grow_cell_to(cell_index, required)
+    grown, partition, records, copy_of = _grow(
+        graph, base_partition.cells, requirements, copy_unit
+    )
     return AnonymizationResult(
-        graph=state.graph,
-        partition=state.to_partition(),
+        graph=grown,
+        partition=partition,
         original_graph=graph.copy(),
         original_partition=base_partition,
         k=k,
         requirements=dict(requirements),
         copy_unit=copy_unit,
-        records=list(state.records),
-        copy_of=dict(state.copy_of),
+        records=records,
+        copy_of=copy_of,
     )

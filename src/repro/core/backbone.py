@@ -19,16 +19,17 @@ The `≅_L` grouping encodes each outside-neighbour set as a vertex color and
 buckets components by their colored canonical certificate
 (:mod:`repro.isomorphism.canonical`), so a cell with t components costs t
 certificate computations rather than O(t^2) pairwise isomorphism tests.
+
+The sweep runs on the array core (:mod:`repro.arraycore.backbone`);
+:func:`repro.core.reference.reference_backbone` is its dict oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
-from repro.isomorphism.canonical import certificate
 from repro.utils.validation import PartitionError
 
 
@@ -55,77 +56,27 @@ class BackboneResult:
         return len(self.removed)
 
 
-def component_classes(graph: Graph, cell: Sequence[int]) -> list[list[list[int]]]:
-    """Group the components of graph[cell] into `≅_L(cell)` classes.
-
-    Returns a list of classes; each class is a list of components; each
-    component is a sorted vertex list. Classes and components are ordered by
-    their smallest vertex, so "keep the first component of each class" is
-    deterministic.
-    """
-    cell_set = set(cell)
-    induced = graph.subgraph(cell_set)
-    components = [sorted(c) for c in induced.connected_components()]
-    components.sort(key=lambda comp: comp[0])
-    buckets: dict[object, list[list[int]]] = {}
-    order: list[object] = []
-    for comp in components:
-        comp_graph = induced.subgraph(comp)
-        coloring = {v: tuple(sorted(graph.neighbors(v) - cell_set)) for v in comp}
-        cert = certificate(comp_graph, coloring)
-        if cert not in buckets:
-            buckets[cert] = []
-            order.append(cert)
-        buckets[cert].append(comp)
-    return [buckets[cert] for cert in order]
-
-
 def backbone(graph: Graph, partition: Partition) -> BackboneResult:
     """Compute the backbone of (graph, partition).
 
     *partition* must be a sub-automorphism partition of *graph* (the
     published V', or Orb(G) for an original network); this is the caller's
     contract and is not re-verified here (verification is exponential in
-    general — see :mod:`repro.core.partitions`).
+    general — see :mod:`repro.core.partitions`). Vertices may be any
+    sortable labels.
     """
+    from repro.arraycore.backbone import backbone_arrays
+    from repro.arraycore.space import array_space, index_cells
+
     if not partition.covers(graph.vertices()):
         raise PartitionError("partition must cover exactly the graph's vertices")
-    cells = [sorted(cell) for cell in partition.cells]
-
-    csr = graph.csr()
-    if csr.n > 0 and csr.vertices == tuple(range(csr.n)):
-        # Array fast path (contiguous int vertices — every published pair):
-        # the identical sweep over CSR rows and an alive mask, materialising
-        # one subgraph at the end instead of one per cell per pass. Pinned
-        # byte-identical to the dict loop below by the
-        # ``differential:arraycore`` audit check.
-        from repro.arraycore.backbone import backbone_arrays
-
-        alive, out_cells = backbone_arrays(csr.indptr, csr.indices, cells)
-        work = graph.subgraph([v for v in range(csr.n) if alive[v]])
-        removed = {v for v in range(csr.n) if not alive[v]}
-        return BackboneResult(
-            graph=work, cells=out_cells, removed=removed, input_partition=partition
-        )
-
-    work = graph.copy()
-
-    changed = True
-    while changed:
-        changed = False
-        for index, cell in enumerate(cells):
-            if len(cell) < 2:
-                continue
-            classes = component_classes(work, cell)
-            if all(len(cls) == 1 for cls in classes):
-                continue
-            keep: list[int] = []
-            for cls in classes:
-                keep.extend(cls[0])
-                for extra in cls[1:]:
-                    work.remove_vertices(extra)
-                    changed = True
-            cells[index] = sorted(keep)
-
-    removed = set(graph.vertices()) - set(work.vertices())
-    return BackboneResult(graph=work, cells=cells, removed=removed, input_partition=partition)
+    indptr, indices, labels = array_space(graph)
+    alive, cells = backbone_arrays(indptr, indices, index_cells(labels, partition.cells))
+    kept = [labels[v] for v in range(len(labels)) if alive[v]]
+    removed = {labels[v] for v in range(len(labels)) if not alive[v]}
+    return BackboneResult(
+        graph=graph.subgraph(kept),
+        cells=[[labels[v] for v in cell] for cell in cells],
+        removed=removed,
+        input_partition=partition,
+    )

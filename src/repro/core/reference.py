@@ -1,26 +1,26 @@
 """Dict-graph reference implementations of the anonymization pipeline.
 
-PR 8 inverted the architecture: the hot pipeline paths (orbit copying,
-backbone detection, the samplers) now run as flat-array passes over the CSR
-view plus an insertions-only overlay (:mod:`repro.arraycore`). The seed
-dict-of-sets implementations did not disappear — they moved here, verbatim,
-and serve as **parity oracles**: independent executable specifications that
-the array passes must match byte-for-byte.
+The production paths (orbit copying, backbone detection, the samplers) run
+as flat-array passes over CSR rows plus an insertions-only overlay
+(:mod:`repro.arraycore`), for every input. The seed dict-of-sets
+implementations live here, verbatim, as **parity oracles**: independent
+executable specifications that the array passes must match byte-for-byte.
 
 They are consumed by
 
+* the tier-1 parity tests, which compose these oracles into anonymize,
+  republish, backbone and both samplers on inputs of every label shape;
 * :mod:`repro.audit.differential` — ``check_arraycore_parity`` replays
-  anonymize → publish → backbone → sample through both engines on every
-  audit corpus case and fails on any divergence;
+  anonymize → publish → backbone → sample through :func:`reference_pipeline`
+  and :func:`repro.arraycore.run_pipeline` on every audit corpus case and
+  fails on any divergence;
 * ``benchmarks/bench_scale.py`` — the ``--quick`` parity gate and the
-  pre-PR baseline for the end-to-end speedup figures;
-* the public entry points themselves, as the fallback engine for graphs the
-  array core does not cover (non-contiguous or non-integer vertex labels).
+  baseline for the end-to-end speedup figures.
 
-Like :mod:`repro.graphs.reference` (the CSR kernel oracles from PR 3), this
-module values obviousness over speed: the code is the seed implementation,
-kept deliberately unoptimised. Do not "improve" it — its entire value is
-being an independent derivation of the same results.
+Like :mod:`repro.graphs.reference` (the CSR kernel oracles), this module
+values obviousness over speed: the code is the seed implementation, kept
+deliberately unoptimised. Do not "improve" it — its entire value is being
+an independent derivation of the same results.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "reference_component_classes",
     "reference_backbone",
     "reference_anonymize_cells",
+    "reference_pipeline",
     "reference_sample_approximate",
     "reference_sample_exact_growth",
     "reference_weighted_choice",
@@ -48,8 +49,11 @@ __all__ = [
 def reference_component_classes(graph: Graph, cell: Sequence[int]) -> list[list[list[int]]]:
     """Seed `≅_L(cell)` grouping: induced subgraph + per-component certificates.
 
-    Identical contract to :func:`repro.core.backbone.component_classes`; kept
-    as the oracle for the array grouping pass.
+    Returns a list of classes; each class is a list of components; each
+    component is a sorted vertex list. Classes and components are ordered by
+    their smallest vertex, so "keep the first component of each class" is
+    deterministic. The oracle for
+    :func:`repro.arraycore.component_classes_arrays`.
     """
     cell_set = set(cell)
     induced = graph.subgraph(cell_set)
@@ -281,3 +285,77 @@ def reference_sample_exact_growth(
         copies_needed[chosen] += 1
         budget -= len(backbone_cells[chosen])
     return copies_needed
+
+
+def reference_pipeline(
+    graph: Graph,
+    k: int,
+    partition: Partition | None = None,
+    method: str = "stabilization",
+    copy_unit: str = "orbit",
+    seed: int = 0,
+    sample: bool = True,
+):
+    """Seed replay of :func:`repro.arraycore.run_pipeline` through the oracles.
+
+    Same stages, same partition, same RNG stream, and the dict publication
+    writer: for any seed the returned
+    :class:`~repro.arraycore.PipelineReport` carries artifact digests equal
+    to ``run_pipeline``'s byte for byte. Like ``run_pipeline`` the replay
+    takes the vertices in ascending order; it rebuilds the dict graph that
+    way, which only the publication's isolated-vertex line can observe.
+    """
+    from repro.arraycore.pipeline import (
+        _begin,
+        _cells_sha256,
+        _publication_artifact,
+        _sample_artifact,
+        _sample_rng,
+    )
+    from repro.core.publication import PublicationBuffers, save_publication_triple
+    from repro.runtime import Stopwatch
+
+    report, partition = _begin(graph, k, partition, method, copy_unit, seed)
+    graph = Graph.from_edges(graph.sorted_edges(), vertices=graph.sorted_vertices())
+
+    watch = Stopwatch()
+    state = reference_anonymize_cells(
+        graph, partition, {i: k for i in range(len(partition))}, copy_unit)
+    published_graph = state.graph
+    published_partition = state.to_partition()
+    report.record("anonymize", watch)
+
+    watch = Stopwatch()
+    extra = {
+        "k": k,
+        "copy_unit": copy_unit,
+        "vertices_added": published_graph.n - graph.n,
+        "edges_added": published_graph.m - graph.m,
+    }
+    buffers = PublicationBuffers.in_memory()
+    save_publication_triple(
+        published_graph, published_partition, graph.n, buffers, extra=extra)
+    report.record("publish", watch)
+    report.artifacts["publication"] = _publication_artifact(
+        published_graph.n, published_graph.m, buffers.texts())
+
+    watch = Stopwatch()
+    backbone_result = reference_backbone(published_graph, published_partition)
+    report.record("backbone", watch)
+    report.artifacts["backbone"] = {
+        "n": backbone_result.graph.n,
+        "cells": len(backbone_result.cells),
+        "removed": backbone_result.n_removed,
+        "sha256": _cells_sha256(backbone_result.cells),
+    }
+    if not sample:
+        return report
+
+    watch = Stopwatch()
+    sample_graph = reference_sample_approximate(
+        published_graph, published_partition, graph.n, rng=_sample_rng(seed))
+    report.record("sample", watch)
+    edge_lines = [f"{u} {v}\n" for u, v in sample_graph.sorted_edges()]
+    report.artifacts["sample"] = _sample_artifact(
+        sorted(sample_graph.vertices()), edge_lines)
+    return report

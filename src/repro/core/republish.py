@@ -44,8 +44,8 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.core.anonymize import AnonymizationResult, _grow_by_components, anonymize
-from repro.core.orbit_copy import CopyRecord, MutablePartitionedGraph
+from repro.core.anonymize import AnonymizationResult, _grow, anonymize
+from repro.core.orbit_copy import CopyRecord
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.isomorphism.incremental import (
@@ -338,18 +338,12 @@ def republish_published(
         [list(cell) for cell in previous_partition.cells]
         + [list(cell) for cell in new_cells])
 
-    state = MutablePartitionedGraph(base, partition1)
-    for cell_index in range(len(partition1)):
-        if state.cell_size(cell_index) >= k:
-            continue
-        if copy_unit == "component":
-            _grow_by_components(state, cell_index, k)
-        else:
-            state.grow_cell_to(cell_index, k)
+    graph, partition, records, copy_of = _grow(
+        base, partition1.cells, {i: k for i in range(len(partition1))}, copy_unit)
 
     return RepublicationResult(
-        graph=state.graph,
-        partition=state.to_partition(),
+        graph=graph,
+        partition=partition,
         previous_graph=previous_graph,
         previous_partition=previous_partition,
         base_graph=base,
@@ -360,8 +354,8 @@ def republish_published(
         engine=engine,
         method=method,
         copy_unit=copy_unit,
-        records=list(state.records),
-        copy_of=dict(state.copy_of),
+        records=records,
+        copy_of=copy_of,
     )
 
 

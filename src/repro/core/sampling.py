@@ -21,17 +21,18 @@ Both default to the paper's inverse-degree cell probabilities
 p[i] ~ 1/deg(V'_i), reflecting that low-degree orbits are the populous ones
 in right-skewed networks.
 
-Array-core rewrite (PR 8): the per-draw budget loops now keep the eligible
-cell list and its prefix sums incrementally (rebuilt only when a cell fills)
-and resolve each draw by bisection, and the DFS runs directly over the
-published graph's CSR rows when its vertices are contiguous ints. Both
-changes are **RNG-exact**: every draw consumes the identical ``random()`` /
+Both run on the array core: the approximate sampler is one CSR pass,
+:func:`sample_approximate_arrays`, shared with the scale pipeline, and the
+exact sampler regrows the backbone with the array copy engine. The per-draw
+budget loops keep the eligible cell list and its prefix sums incrementally
+(rebuilt only when a cell fills) and resolve each draw by bisection. All of
+this is **RNG-exact**: every draw consumes the identical ``random()`` /
 ``shuffle`` calls on the identical candidate lists as the seed
 implementation, so a fixed seed yields the same sample byte-for-byte — the
-``differential:arraycore`` audit check pins this against
-:func:`repro.core.reference.reference_sample_approximate`. Because each
-draw in :func:`sample_many` owns a :func:`derive_seed`-spawned stream, the
-equality also holds chunk-by-chunk for every ``--jobs`` value.
+``differential:arraycore`` audit check and the tier-1 parity tests pin this
+against :func:`repro.core.reference.reference_sample_approximate`. Because
+each draw in :func:`sample_many` owns a :func:`derive_seed`-spawned stream,
+the equality also holds chunk-by-chunk for every ``--jobs`` value.
 
 Departure from the pseudocode (documented): Algorithm 5's DFS reaches only
 the root's connected component. Real networks (and Table 1's datasets) are
@@ -44,28 +45,29 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import accumulate
 
+from repro.core.anonymize import _grow
 from repro.core.backbone import backbone
-from repro.core.orbit_copy import MutablePartitionedGraph
-from repro.graphs.graph import Graph, _sorted_if_possible
+from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.runtime import ParallelMap, RunStats, spawn_streams
 from repro.utils.rng import RandomLike, ensure_rng
 from repro.utils.validation import SamplingError, check_positive_int
 
 
-def inverse_degree_probabilities(graph: Graph, partition: Partition) -> list[float]:
-    """p[i] ~ 1/degree of cell i's vertices in *graph* (the paper's default).
+def inverse_degree_probabilities(
+    degree: Callable[[Hashable], int], cells: Iterable[Sequence[Hashable]]
+) -> list[float]:
+    """p[i] ~ 1/degree of cell i (the paper's default).
 
-    Every vertex in a published cell has the same degree; isolated-vertex
-    cells (degree 0) are treated as degree 1.
+    *degree* gives a vertex's degree in the published graph
+    (``graph.degree``, or a CSR row length). Every vertex in a published
+    cell has the same degree, so the first member stands for the cell;
+    isolated-vertex cells (degree 0) are treated as degree 1.
     """
-    weights = []
-    for cell in partition.cells:
-        degree = max(graph.degree(cell[0]), 1)
-        weights.append(1.0 / degree)
+    weights = [1.0 / max(degree(cell[0]), 1) for cell in cells]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -79,21 +81,6 @@ def _validate_probabilities(p: Sequence[float], n_cells: int) -> list[float]:
     if total <= 0:
         raise SamplingError("cell probabilities must not all be zero")
     return [x / total for x in p]
-
-
-def _weighted_choice(rand: random.Random, indices: list[int], weights: list[float]) -> int:
-    """Pick one of *indices* with probability proportional to *weights*."""
-    total = sum(weights)
-    if total <= 0:
-        # All eligible cells have zero weight: fall back to uniform.
-        return rand.choice(indices)
-    point = rand.random() * total
-    acc = 0.0
-    for index, weight in zip(indices, weights):
-        acc += weight
-        if point <= acc:
-            return index
-    return indices[-1]
 
 
 def _budget_draws(
@@ -165,7 +152,8 @@ def sample_exact(
     if backbone_result is None:
         backbone_result = backbone(published_graph, published_partition)
     if p is None:
-        probabilities = inverse_degree_probabilities(published_graph, published_partition)
+        probabilities = inverse_degree_probabilities(
+            published_graph.degree, published_partition.cells)
     else:
         probabilities = _validate_probabilities(p, len(published_partition))
 
@@ -194,20 +182,18 @@ def sample_exact(
         eligible_cell, lambda i: len(backbone_cells[i]), take, budget,
     )
 
-    state = MutablePartitionedGraph(backbone_result.graph, Partition(backbone_cells))
-    # MutablePartitionedGraph orders cells as Partition does (by smallest
-    # member); build an index translation to stay aligned.
-    ordered = Partition(backbone_cells)
-    translate = {i: ordered.index_of(backbone_cells[i][0]) for i in range(cell_count)}
-    for i in range(cell_count):
-        for _ in range(copies_needed[i]):
-            state.copy_cell(translate[i])
+    # Whole-cell copies of every backbone cell, in cell-index order.
+    graph, partition, _, _ = _grow(
+        backbone_result.graph, backbone_cells,
+        {i: len(cell) * (1 + copies_needed[i]) for i, cell in enumerate(backbone_cells)},
+        "orbit",
+    )
     if return_partition:
         # The sample's own sub-automorphism partition (backbone cells plus
         # their copies) — what the paper's analyst would re-publish if the
         # sample itself were shared onward.
-        return state.graph, state.to_partition()
-    return state.graph
+        return graph, partition
+    return graph
 
 
 def allocate_quota(
@@ -218,8 +204,8 @@ def allocate_quota(
 ) -> list[int]:
     """Algorithm 4: per-cell selection quotas (one each, the rest by p[i]).
 
-    Shared by :func:`sample_approximate` and the array pipeline in
-    :mod:`repro.arraycore.pipeline` so both consume identical draws.
+    Runs inside :func:`sample_approximate_arrays`, so the public sampler and
+    the scale pipeline consume identical draws.
     """
     cell_count = len(cell_sizes)
     quota = [1] * cell_count
@@ -283,6 +269,39 @@ def dfs_select_arrays(
     return selected
 
 
+def sample_approximate_arrays(
+    rand: random.Random,
+    indptr: list[int],
+    indices: list[int],
+    cells: Sequence[Sequence[int]],
+    original_n: int,
+    p: Sequence[float] | None = None,
+) -> list[int]:
+    """Algorithms 4+5 in array space: the selected vertices, in selection order.
+
+    The one approximate sampler, behind :func:`sample_approximate` and the
+    scale pipeline's sample stage. *indptr*/*indices* are the published
+    graph's CSR rows as plain lists, *cells* its partition over row ids.
+    """
+    cell_count = len(cells)
+    if original_n < cell_count:
+        raise SamplingError(
+            f"original_n={original_n} is below the number of published cells ({cell_count}); "
+            "each cell represents at least one original vertex"
+        )
+    if p is None:
+        probabilities = inverse_degree_probabilities(
+            lambda v: indptr[v + 1] - indptr[v], cells)
+    else:
+        probabilities = _validate_probabilities(p, cell_count)
+    quota = allocate_quota(rand, [len(c) for c in cells], probabilities, original_n)
+    cell_of = [0] * (len(indptr) - 1)
+    for i, cell in enumerate(cells):
+        for v in cell:
+            cell_of[v] = i
+    return dfs_select_arrays(rand, indptr, indices, cell_of, quota, original_n)
+
+
 def sample_approximate(
     published_graph: Graph,
     published_partition: Partition,
@@ -297,80 +316,16 @@ def sample_approximate(
     root selecting vertices while their cell still has quota; the sample is
     the subgraph induced by the selected vertices.
     """
+    from repro.arraycore.space import array_space, index_cells
+
     check_positive_int(original_n, "original_n")
     rand = ensure_rng(rng)
-    cells = [list(cell) for cell in published_partition.cells]
-    cell_count = len(cells)
-    if original_n < cell_count:
-        raise SamplingError(
-            f"original_n={original_n} is below the number of published cells ({cell_count}); "
-            "each cell represents at least one original vertex"
-        )
-    if p is None:
-        probabilities = inverse_degree_probabilities(published_graph, published_partition)
-    else:
-        probabilities = _validate_probabilities(p, cell_count)
-
-    quota = allocate_quota(rand, [len(c) for c in cells], probabilities, original_n)
-
-    csr = published_graph.csr()
-    if csr.vertices == tuple(range(csr.n)):
-        # Array fast path: contiguous int vertex space (what the
-        # anonymizer publishes). Same draws, same selection, no dict walks.
-        cell_of_arr = [0] * csr.n
-        for i, cell in enumerate(cells):
-            for v in cell:
-                cell_of_arr[v] = i
-        selected_list = dfs_select_arrays(
-            rand, csr.indptr.tolist(), csr.indices.tolist(),
-            cell_of_arr, quota, original_n,
-        )
-        return published_graph.subgraph(selected_list)
-
-    cell_of = published_partition.as_coloring()
-    visited: set = set()
-    selected: set = set()
-    remaining = original_n
-    all_vertices = published_graph.sorted_vertices()
-
-    def traverse(root) -> int:
-        """Iterative DFS from *root*; returns vertices selected."""
-        nonlocal remaining
-        taken = 0
-        stack = [root]
-        while stack and remaining > 0:
-            v = stack.pop()
-            if v in visited:
-                continue
-            visited.add(v)
-            ci = cell_of[v]
-            if quota[ci] > 0:
-                selected.add(v)
-                quota[ci] -= 1
-                remaining -= 1
-                taken += 1
-                # Only selected vertices propagate the walk (Algorithm 5
-                # recurses inside the selection branch), keeping each
-                # traversal's selection connected. The candidate list is
-                # canonicalised before shuffling: set iteration order is not
-                # stable across processes (pickling rebuilds the set), and
-                # the shuffle must consume an identical list in a worker and
-                # in the parent for serial/parallel parity.
-                neighbors = _sorted_if_possible(
-                    [u for u in published_graph.neighbors(v) if u not in visited]
-                )
-                rand.shuffle(neighbors)
-                stack.extend(neighbors)
-        return taken
-
-    unvisited_pool = list(all_vertices)
-    rand.shuffle(unvisited_pool)
-    for root in unvisited_pool:
-        if remaining <= 0:
-            break
-        if root not in visited:
-            traverse(root)
-    return published_graph.subgraph(selected)
+    indptr, indices, labels = array_space(published_graph)
+    selected = sample_approximate_arrays(
+        rand, indptr.tolist(), indices.tolist(),
+        index_cells(labels, published_partition.cells), original_n, p,
+    )
+    return published_graph.subgraph([labels[v] for v in selected])
 
 
 def _draw_one(task) -> Graph:

@@ -72,7 +72,8 @@ def run_sampler_ablation(
             rng=metric_rng, n_sources=params["path_sources"],
         )
         uniform = [1.0 / len(published_partition)] * len(published_partition)
-        inverse = inverse_degree_probabilities(published_graph, published_partition)
+        inverse = inverse_degree_probabilities(
+            published_graph.degree, published_partition.cells)
 
         for strategy, prob_name in VARIANTS:
             p = uniform if prob_name == "uniform" else inverse

@@ -426,7 +426,12 @@ class Graph:
         return g
 
     def to_integer_labels(self) -> tuple["Graph", dict[Vertex, int]]:
-        """Relabel vertices to 0..n-1 (sorted when comparable); returns (graph, mapping)."""
+        """Relabel vertices to 0..n-1 (sorted when comparable); returns (graph, mapping).
+
+        The relabelled graph keeps this graph's insertion order: vertex ``v``
+        becomes ``mapping[v]`` in place, so its vertices are ``0..n-1`` but
+        not necessarily inserted in that order.
+        """
         order = self.sorted_vertices()
         mapping = {v: i for i, v in enumerate(order)}
         return self.relabeled(mapping), mapping

@@ -1,18 +1,16 @@
 """ARR001 — no dict-``Graph`` adjacency iteration inside the array core.
 
-The modules under ``repro/arraycore/`` are the scale path: every hot pass is
-written against flat CSR arrays (``indptr``/``indices``), and the dict
-:class:`repro.graphs.graph.Graph` exists there only at the conversion
-boundary (``OverlayGraph.from_graph`` / ``to_graph``). A call like
-``graph.neighbors(v)`` or ``for u, v in graph.sorted_edges()`` inside an
-array-core module is a per-element dict traversal sneaking back into a path
-benchmarked at a million vertices — the exact regression
-``benchmarks/bench_scale.py`` exists to catch, caught here statically
-instead.
-
-Reference-oracle replays that intentionally drive the dict API (e.g. the
-``engine="reference"`` half of the pipeline) suppress per line with
-``# repro-lint: disable=ARR001 -- <reason>``.
+The modules under ``repro/arraycore/`` are the one production engine: every
+pass is written against flat CSR arrays (``indptr``/``indices``), and the
+dict :class:`repro.graphs.graph.Graph` appears there only as a whole at the
+label boundary (``array_space`` reads its cached CSR; ``OverlayGraph.to_graph``
+copies it and appends the insertions). A call like ``graph.neighbors(v)`` or
+``for u, v in graph.sorted_edges()`` inside an array-core module is a
+per-element dict traversal sneaking back into a path benchmarked at a
+million vertices — the exact regression ``benchmarks/bench_scale.py``
+exists to catch, caught here statically instead. The dict oracles that
+drive that API on purpose live in ``repro.core.reference``, outside the
+rule's scope; the array core needs no suppressions.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""The array-first core: overlay, copy state, backbone, publication, pipeline.
+"""The array-first core: boundary, overlay, copy state, backbone, publication, pipeline.
 
-Every test here is a parity pin: the array passes must be byte-identical to
-the seed dict implementations (now the reference oracles), because the audit
-campaign's ``differential:arraycore`` check and the scale benchmark's gate
-both assume that equality at every size they can afford to replay.
+Every test here is a parity pin: the one array engine must be
+byte-identical to the seed dict implementations (the oracles in
+:mod:`repro.core.reference`) on every label shape a caller can hand it,
+because the audit campaign's ``differential:arraycore`` check and the scale
+benchmark's gate both assume that equality at every size they can afford
+to replay.
 """
 
+import io
 import random
 
 import pytest
@@ -17,11 +20,36 @@ from repro.arraycore import (
     publication_texts_from_arrays,
     run_pipeline,
 )
+from repro.arraycore.space import array_space, index_cells
 from repro.core.anonymize import anonymize
 from repro.core.backbone import backbone
-from repro.core.publication import PublicationBuffers, save_publication_triple
+from repro.core.fsymmetry import anonymize_f, hub_exclusion_by_degree
+from repro.core.orbit_copy import MutablePartitionedGraph
+from repro.core.publication import (
+    PublicationBuffers,
+    load_publication,
+    save_publication,
+    save_publication_triple,
+)
+from repro.core.reference import (
+    reference_anonymize_cells,
+    reference_backbone,
+    reference_pipeline,
+    reference_sample_approximate,
+    reference_sample_exact_growth,
+)
+from repro.core.republish import (
+    GraphDelta,
+    _closure_augment,
+    _frontier_cells,
+    republish_published,
+)
+from repro.core.sampling import sample_approximate, sample_exact
+from repro.datasets.paper_graphs import figure3_graph
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.graphs.graph import Graph
+from repro.graphs.io import write_edge_list
+from repro.graphs.partition import Partition
 from repro.isomorphism.canonical import certificate
 from repro.isomorphism.orbits import automorphism_partition
 from repro.utils.validation import AnonymizationError
@@ -35,12 +63,109 @@ def _ws(n=120, k=4, seed=9):
     return watts_strogatz_graph(n, k, 0.1, random.Random(seed))
 
 
+def _shuffled(graph, seed):
+    """The same graph with its vertices inserted in a seeded random order."""
+    rand = random.Random(seed)
+    vertices = graph.vertices()
+    edges = graph.edges()
+    rand.shuffle(vertices)
+    rand.shuffle(edges)
+    return Graph.from_edges(edges, vertices=vertices)
+
+
+#: integer-labelled inputs whose array space is not their insertion order
+INT_INPUTS = {
+    "out_of_order": lambda: Graph.from_edges([(2, 0), (0, 1), (1, 3)]),
+    "shuffled_ba": lambda: _shuffled(_ba(n=60), 1),
+    "figure3": figure3_graph,
+    "shifted_ba": lambda: _shuffled(
+        _ba(n=60).relabeled({v: 3 * v + 7 for v in range(60)}), 2),
+    "isolated": lambda: _shuffled(
+        Graph.from_edges(_ba(n=40).edges(), vertices=[40, 57]), 3),
+}
+
+
+def _edge_text(graph):
+    buffer = io.StringIO()
+    write_edge_list(graph, buffer)
+    return buffer.getvalue()
+
+
+def _assert_same_graph(fast, slow):
+    assert fast.equals(slow)
+    assert fast.vertices() == slow.vertices()
+    assert _edge_text(fast) == _edge_text(slow)
+
+
+def _records(records):
+    return [(r.cell_index, list(r.mapping.items()), r.edges_added) for r in records]
+
+
+def _assert_same_growth(result, state):
+    """An anonymize/republish result against a grown MutablePartitionedGraph."""
+    _assert_same_graph(result.graph, state.graph)
+    assert result.partition.cells == state.to_partition().cells
+    assert _records(result.records) == _records(state.records)
+    assert list(result.copy_of.items()) == list(state.copy_of.items())
+
+
+def _string_labelled(result):
+    """A published pair relabelled to strings ("10" sorts before "2")."""
+    mapping = {v: str(v) for v in result.graph.vertices()}
+    cells = [[mapping[v] for v in cell] for cell in result.partition.cells]
+    return result.graph.relabeled(mapping), Partition(cells)
+
+
+def _oracle_sample_exact(graph, partition, original_n, seed):
+    """Algorithm 3 composed from the oracles and the dict copy engine."""
+    rand = random.Random(seed)
+    spine = reference_backbone(graph, partition)
+    weights = [1.0 / max(graph.degree(cell[0]), 1) for cell in partition.cells]
+    probabilities = [w / sum(weights) for w in weights]
+    copies = reference_sample_exact_growth(
+        spine.cells, [list(c) for c in partition.cells], probabilities,
+        original_n - spine.graph.n, rand)
+    state = MutablePartitionedGraph(spine.graph, Partition(spine.cells))
+    ordered = Partition(spine.cells)
+    for i, cell in enumerate(spine.cells):
+        for _ in range(copies[i]):
+            state.copy_cell(ordered.index_of(cell[0]))
+    return state.graph, state.to_partition()
+
+
+class TestArraySpace:
+    def test_identity_graph_reuses_its_csr(self):
+        graph = _ba()
+        indptr, indices, labels = array_space(graph)
+        csr = graph.csr()
+        assert indptr is csr.indptr and indices is csr.indices
+        assert labels == range(graph.n)
+
+    @pytest.mark.parametrize("name", sorted(INT_INPUTS))
+    def test_rows_follow_ascending_labels(self, name):
+        graph = INT_INPUTS[name]()
+        indptr, indices, labels = array_space(graph)
+        assert list(labels) == graph.sorted_vertices()
+        for i, v in enumerate(labels):
+            row = [labels[u] for u in indices[indptr[i]:indptr[i + 1]].tolist()]
+            assert row == sorted(graph.neighbors(v))
+
+    def test_string_labels_sort_as_strings(self):
+        graph = Graph.from_edges([("10", "2"), ("2", "a"), ("a", "10")])
+        _, _, labels = array_space(graph)
+        assert labels == ["10", "2", "a"]
+        assert index_cells(labels, [("a", "2")]) == [[2, 1]]
+
+    def test_empty_graph(self):
+        indptr, indices, labels = array_space(Graph())
+        assert len(indptr) == 1 and len(indices) == 0 and labels == range(0)
+
+
 class TestOverlayGraph:
-    def test_supports_contiguous_ints_only(self):
-        assert OverlayGraph.supports(_ba())
-        shifted = _ba().relabeled({v: v + 1 for v in _ba().vertices()})
-        assert not OverlayGraph.supports(shifted)
-        assert not OverlayGraph.supports(Graph())
+    def test_from_graph_accepts_any_insertion_order(self):
+        graph = _shuffled(_ba(n=40), 5)
+        overlay = OverlayGraph.from_graph(graph)
+        assert overlay.to_graph(graph, range(overlay.n)).equals(graph)
 
     def test_from_graph_rejects_noncontiguous(self):
         shifted = _ba().relabeled({v: v + 1 for v in _ba().vertices()})
@@ -50,7 +175,7 @@ class TestOverlayGraph:
     def test_to_graph_round_trips_the_base(self):
         graph = _ws()
         overlay = OverlayGraph.from_graph(graph)
-        assert overlay.to_graph().equals(graph)
+        assert overlay.to_graph(graph, range(overlay.n)).equals(graph)
 
     def test_freeze_after_insertions_matches_dict_twin(self):
         graph = _ba(n=60)
@@ -61,8 +186,9 @@ class TestOverlayGraph:
         for u in (0, 3, 17):
             overlay.add_edge(u, fresh)
             twin.add_edge(u, fresh)
-        view = overlay.to_graph()
+        view = overlay.to_graph(graph, range(overlay.n))
         assert view.equals(twin)
+        assert view.vertices() == twin.vertices()
         # Frozen rows are ascending — the CSR contract every pass assumes.
         indptr, indices = overlay.freeze()
         for v in range(overlay.n):
@@ -80,40 +206,99 @@ class TestOverlayGraph:
 
 
 class TestEngineParity:
-    """anonymize(engine='array') must equal engine='reference' bit for bit."""
+    """The one array engine against compositions of the dict oracles.
+
+    Edges, ``vertices()`` order, cells, records, ``copy_of`` and the
+    ``write_edge_list`` text must all match, whatever the input's labels or
+    insertion order.
+    """
 
     @pytest.mark.parametrize("copy_unit", ["orbit", "component"])
     @pytest.mark.parametrize("builder", [_ba, _ws])
     def test_results_identical_across_engines(self, builder, copy_unit):
         graph = builder()
-        fast = anonymize(graph, 3, method="stabilization",
-                         copy_unit=copy_unit, engine="array")
-        slow = anonymize(graph, 3, method="stabilization",
-                         copy_unit=copy_unit, engine="reference")
-        assert fast.graph.equals(slow.graph)
-        assert fast.graph.sorted_vertices() == slow.graph.sorted_vertices()
-        assert fast.partition.cells == slow.partition.cells
-        assert fast.copy_of == slow.copy_of
-        assert [(r.cell_index, r.mapping, r.edges_added) for r in fast.records] \
-            == [(r.cell_index, r.mapping, r.edges_added) for r in slow.records]
+        result = anonymize(graph, 3, method="stabilization", copy_unit=copy_unit)
+        partition = automorphism_partition(graph, method="stabilization").orbits
+        state = reference_anonymize_cells(
+            graph, partition, {i: 3 for i in range(len(partition))}, copy_unit)
+        _assert_same_growth(result, state)
 
-    def test_array_engine_requires_contiguous_vertices(self):
+    @pytest.mark.parametrize("copy_unit", ["orbit", "component"])
+    @pytest.mark.parametrize("name", sorted(INT_INPUTS))
+    def test_anonymize_matches_oracle(self, name, copy_unit):
+        graph = INT_INPUTS[name]()
+        result = anonymize(graph, 3, copy_unit=copy_unit)
+        partition = automorphism_partition(graph).orbits
+        state = reference_anonymize_cells(
+            graph, partition, {i: 3 for i in range(len(partition))}, copy_unit)
+        _assert_same_growth(result, state)
+
+    @pytest.mark.parametrize("name", sorted(INT_INPUTS))
+    def test_anonymize_f_matches_oracle(self, name):
+        graph = INT_INPUTS[name]()
+        requirement = hub_exclusion_by_degree(3, 4)
+        result = anonymize_f(graph, requirement)
+        partition = automorphism_partition(graph).orbits
+        requirements = {i: requirement(cell, graph) for i, cell in enumerate(partition.cells)}
+        state = reference_anonymize_cells(graph, partition, requirements, "orbit")
+        _assert_same_growth(result, state)
+
+    @pytest.mark.parametrize("copy_unit", ["orbit", "component"])
+    @pytest.mark.parametrize("name", sorted(INT_INPUTS))
+    def test_republish_matches_oracle(self, name, copy_unit):
+        first = anonymize(INT_INPUTS[name](), 2, copy_unit=copy_unit)
+        graph, partition, original_n = first.published()
+        top = max(graph.vertices())
+        anchor = graph.sorted_vertices()[len(graph.vertices()) // 2]
+        delta = GraphDelta([top + 1, top + 2], [(anchor, top + 1), (top + 1, top + 2)])
+        result = republish_published(
+            graph, partition, original_n, delta, 2, copy_unit=copy_unit)
+        base, _ = _closure_augment(graph, partition, delta)
+        frontier = _frontier_cells(base, partition, list(delta.add_vertices), "exact", "full")
+        cells = Partition([list(c) for c in partition.cells] + [list(c) for c in frontier])
+        state = reference_anonymize_cells(
+            base, cells, {i: 2 for i in range(len(cells))}, copy_unit)
+        _assert_same_growth(result, state)
+
+    @pytest.mark.parametrize("name", sorted(INT_INPUTS))
+    def test_backbone_and_samplers_match_oracles(self, name):
+        published = anonymize(INT_INPUTS[name](), 2)
+        graph, partition, original_n = published.published()
+        fast, slow = backbone(graph, partition), reference_backbone(graph, partition)
+        _assert_same_graph(fast.graph, slow.graph)
+        assert fast.cells == slow.cells and fast.removed == slow.removed
+        for seed in range(3):
+            _assert_same_graph(
+                sample_approximate(graph, partition, original_n, rng=seed),
+                reference_sample_approximate(graph, partition, original_n, rng=seed))
+            sample, sample_partition = sample_exact(
+                graph, partition, original_n, rng=seed, return_partition=True)
+            oracle, oracle_partition = _oracle_sample_exact(graph, partition, original_n, seed)
+            _assert_same_graph(sample, oracle)
+            assert sample_partition.cells == oracle_partition.cells
+
+    def test_string_labels_for_backbone_and_sampler(self):
+        published = anonymize(_shuffled(_ba(n=60), 4), 2)
+        graph, partition = _string_labelled(published)
+        fast, slow = backbone(graph, partition), reference_backbone(graph, partition)
+        _assert_same_graph(fast.graph, slow.graph)
+        assert fast.cells == slow.cells and fast.removed == slow.removed
+        for seed in range(3):
+            _assert_same_graph(
+                sample_approximate(graph, partition, published.original_n, rng=seed),
+                reference_sample_approximate(
+                    graph, partition, published.original_n, rng=seed))
+
+    def test_string_labels_rejected_by_anonymize(self):
         graph = Graph()
         graph.add_edge("a", "b")
         graph.add_edge("b", "c")
-        with pytest.raises(AnonymizationError, match="contiguous int"):
-            anonymize(graph, 2, engine="array")
+        with pytest.raises(AnonymizationError, match="not an integer"):
+            anonymize(graph, 2)
 
-    def test_auto_engine_falls_back_on_noncontiguous(self):
-        graph = Graph()
-        graph.add_edge(10, 20)
-        graph.add_edge(20, 30)
-        result = anonymize(graph, 2, engine="auto")
-        assert min(len(cell) for cell in result.partition.cells) >= 2
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(AnonymizationError, match="engine"):
-            anonymize(_ba(n=20), 2, engine="simd")
+    def test_empty_graph(self):
+        result = anonymize(Graph(), 2)
+        assert result.graph.n == 0 and len(result.partition) == 0
 
 
 class TestArrayPartitionedGraph:
@@ -142,13 +327,19 @@ class TestArrayPartitionedGraph:
 class TestBackboneArrays:
     @pytest.mark.parametrize("builder", [_ba, _ws])
     def test_matches_dict_backbone_on_published_pair(self, builder):
+        # Read back through load_publication: the loaded graph's insertion
+        # order is the edge file's, so array_space has to reorder its rows.
         result = anonymize(builder(), 2, method="stabilization")
-        oracle = backbone(result.graph, result.partition)
-        csr = result.graph.csr()
-        alive, cells = backbone_arrays(csr.indptr, csr.indices, result.partition.cells)
-        survivors = [v for v in range(csr.n) if alive[v]]
+        buffers = PublicationBuffers.in_memory()
+        save_publication(result, buffers)
+        graph, partition, _ = load_publication(buffers)
+        assert graph.vertices() != graph.sorted_vertices()
+        oracle = reference_backbone(graph, partition)
+        indptr, indices, labels = array_space(graph)
+        alive, cells = backbone_arrays(indptr, indices, index_cells(labels, partition.cells))
+        survivors = [labels[v] for v in range(len(labels)) if alive[v]]
         assert survivors == oracle.graph.sorted_vertices()
-        assert cells == [sorted(c) for c in oracle.cells]
+        assert [[labels[v] for v in cell] for cell in cells] == oracle.cells
 
 
 class TestPublicationArrays:
@@ -171,13 +362,19 @@ class TestPipeline:
     def test_artifact_parity_across_engines(self, builder):
         graph = builder(n=150)
         partition = automorphism_partition(graph, method="stabilization").orbits
-        fast = run_pipeline(graph, 2, partition=partition, engine="array", seed=4)
-        slow = run_pipeline(graph, 2, partition=partition, engine="reference", seed=4)
+        fast = run_pipeline(graph, 2, partition=partition, seed=4)
+        slow = reference_pipeline(graph, 2, partition=partition, seed=4)
+        assert fast.parity_key() == slow.parity_key()
+
+    def test_shuffled_insertion_order_with_isolated_vertices(self):
+        graph = _shuffled(Graph.from_edges(_ba(n=50).edges(), vertices=[50, 51]), 6)
+        fast = run_pipeline(graph, 3, seed=2)
+        slow = reference_pipeline(graph, 3, seed=2)
         assert fast.parity_key() == slow.parity_key()
 
     def test_stage_records_and_report_shape(self):
         graph = _ba(n=80)
-        report = run_pipeline(graph, 2, engine="array", seed=1)
+        report = run_pipeline(graph, 2, seed=1)
         names = [stage["name"] for stage in report.stages]
         assert names == ["partition", "anonymize", "publish", "backbone", "sample"]
         for stage in report.stages:
@@ -188,9 +385,10 @@ class TestPipeline:
         assert set(report.artifacts) == {
             "partition", "publication", "backbone", "sample"}
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(AnonymizationError, match="engine"):
-            run_pipeline(_ba(n=20), 2, engine="simd")
+    def test_rejects_labels_outside_range(self):
+        shifted = _ba(n=20).relabeled({v: v + 1 for v in range(20)})
+        with pytest.raises(ValueError, match="0..n-1"):
+            run_pipeline(shifted, 2)
 
 
 class TestPackedCertificates:

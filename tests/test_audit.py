@@ -28,6 +28,7 @@ from repro.audit.campaign import (
     parse_budget,
 )
 from repro.audit.corpus import FAMILIES, make_case
+from repro.audit.differential import check_arraycore_parity
 from repro.audit.minimize import write_repro_script
 from repro.graphs.generators import gnp_random_graph
 from repro.graphs.graph import Graph
@@ -104,6 +105,12 @@ class TestHealthyPipeline:
         )
         assert failures == []
         assert set(ran) == set(CASE_CHECKS)
+
+    def test_arraycore_parity_on_out_of_order_vertices(self):
+        # Vertices 0..3 inserted as 2, 0, 1, 3: the array pipeline takes
+        # rows in ascending label order, whatever the insertion order.
+        graph = Graph.from_edges([(2, 0), (0, 1), (1, 3)])
+        assert check_arraycore_parity(graph, 2) == []
 
 
 class TestBrokenCheckerIsCaught:

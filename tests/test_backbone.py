@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arraycore import component_classes_arrays
 from repro.core.anonymize import anonymize
-from repro.core.backbone import backbone, component_classes
+from repro.core.backbone import backbone
+from repro.core.reference import reference_component_classes
 from repro.datasets.paper_graphs import (
     figure3_graph,
     figure4_graph,
@@ -23,6 +25,13 @@ from conftest import small_graphs
 
 def orbits_of(g):
     return automorphism_partition(g).orbits
+
+
+def component_classes(g, cell):
+    """The `≅_L` grouping of both implementations, which must agree."""
+    classes = reference_component_classes(g, cell)
+    assert component_classes_arrays(g.neighbors, lambda u: True, cell) == classes
+    return classes
 
 
 class TestComponentClasses:

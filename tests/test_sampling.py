@@ -25,14 +25,14 @@ def publish(graph, k, **kwargs):
 class TestProbabilities:
     def test_inverse_degree_normalised(self):
         g, p, n = publish(figure3_graph(), 3)
-        probs = inverse_degree_probabilities(g, p)
+        probs = inverse_degree_probabilities(g.degree, p.cells)
         assert len(probs) == len(p)
         assert abs(sum(probs) - 1.0) < 1e-12
         assert all(x > 0 for x in probs)
 
     def test_lower_degree_cells_weighted_higher(self):
         g, p, n = publish(figure3_graph(), 2)
-        probs = inverse_degree_probabilities(g, p)
+        probs = inverse_degree_probabilities(g.degree, p.cells)
         degrees = [g.degree(cell[0]) for cell in p.cells]
         low = probs[degrees.index(min(degrees))]
         high = probs[degrees.index(max(degrees))]

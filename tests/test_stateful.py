@@ -18,9 +18,10 @@ import random
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.backbone import component_classes
+from repro.arraycore import component_classes_arrays
 from repro.core.orbit_copy import MutablePartitionedGraph
 from repro.core.partitions import exhaustive_subautomorphism_check
+from repro.core.reference import reference_component_classes
 from repro.graphs.generators import gnp_random_graph
 from repro.isomorphism.orbits import automorphism_partition
 
@@ -55,7 +56,9 @@ class OrbitCopyMachine(RuleBasedStateMachine):
             return
         index = cell % self.n_cells
         members = self.state.original_members[index]
-        classes = component_classes(self.state.graph, members)
+        graph = self.state.graph
+        classes = reference_component_classes(graph, members)
+        assert component_classes_arrays(graph.neighbors, lambda u: True, members) == classes
         unit = sorted(v for cls in classes for v in cls[0])
         before = self.state.cell_size(index)
         self.state.copy_members(index, unit)
