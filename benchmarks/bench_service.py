@@ -10,6 +10,9 @@ copies of the same base graphs* (isomorphic inputs), repeated over
 ``rounds`` passes. Publish and audit artifacts are therefore shared through
 the content-addressed cache — the recorded cache hit rate must end up > 0 —
 while sample artifacts stay tenant-private by design (seed-namespaced keys).
+Every round repeats every request body, so from the second round on each
+text's canonical input comes from the scheduler's memo — the recorded memo
+hits must end up > 0 too.
 
 Recorded per endpoint: request count, p50/p99/max latency; plus overall
 throughput, the daemon's cache/scheduler counters, and a **parity** flag:
@@ -24,9 +27,9 @@ Run from the repo root::
 
 ``--sweep-jobs`` reruns the same load once per worker-pool size and records
 a ``jobs_sweep`` table (throughput vs ``--jobs``) alongside the primary
-run. ``--check`` additionally enforces the PR's acceptance thresholds
-(parity and cache hit rate > 0). Exits non-zero on any parity mismatch
-either way.
+run. ``--check`` additionally enforces the acceptance thresholds (parity,
+cache hit rate > 0 and canonical memo hits > 0). Exits non-zero on any
+parity mismatch either way.
 """
 
 from __future__ import annotations
@@ -248,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
                              "record a throughput-vs-jobs table")
     parser.add_argument("--out", default="BENCH_service.json")
     parser.add_argument("--check", action="store_true",
-                        help="enforce acceptance thresholds (parity and "
-                             "cache hit rate > 0)")
+                        help="enforce acceptance thresholds (parity, "
+                             "cache hit rate > 0, canonical memo hits > 0)")
     args = parser.parse_args(argv)
 
     report = run_load(args.profile, args.jobs)
@@ -266,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{report['requests']} requests ({report['wall_s']} s)")
     print(f"cache hit rate {report['cache_hit_rate']} "
           f"({report['cache']['hits']} hits / {report['cache']['misses']} misses)")
+    memo = report["scheduler"]["canonical_memo"]
+    print(f"canonical memo {memo['hits']} hits / {memo['misses']} misses")
     print(f"parity         {report['parity']}")
     for row in report.get("jobs_sweep", ()):
         print(f"sweep jobs={row['jobs']:<4} {row['throughput_rps']:>8} req/s "
@@ -282,6 +287,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.check and report["cache_hit_rate"] <= 0.0:
         print("FAIL: cache hit rate is 0 on an isomorphic-input workload",
               file=sys.stderr)
+        return 1
+    if args.check and report["scheduler"]["canonical_memo"]["hits"] <= 0:
+        print("FAIL: no canonical memo hit although every round repeats "
+              "every request body", file=sys.stderr)
         return 1
     return 0
 

@@ -24,11 +24,12 @@ in right-skewed networks.
 Both run on the array core: the approximate sampler is one CSR pass,
 :func:`sample_approximate_arrays`, shared with the scale pipeline, and the
 exact sampler regrows the backbone with the array copy engine. The per-draw
-budget loops keep the eligible cell list and its prefix sums incrementally
-(rebuilt only when a cell fills) and resolve each draw by bisection. All of
-this is **RNG-exact**: every draw consumes the identical ``random()`` /
-``shuffle`` calls on the identical candidate lists as the seed
-implementation, so a fixed seed yields the same sample byte-for-byte — the
+budget loops keep the eligible cell list and its prefix sums across draws
+(when a cell fills, only that cell is deleted and the sums are recomputed
+from its position on) and resolve each draw by bisection. All of this is
+**RNG-exact**: every draw consumes the identical ``random()`` / ``shuffle``
+calls on the identical candidate lists as the seed implementation, so a
+fixed seed yields the same sample byte-for-byte — the
 ``differential:arraycore`` audit check and the tier-1 parity tests pin this
 against :func:`repro.core.reference.reference_sample_approximate`. Because
 each draw in :func:`sample_many` owns a :func:`derive_seed`-spawned stream,
@@ -46,7 +47,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from repro.core.anonymize import _grow
 from repro.core.backbone import backbone
@@ -96,38 +97,47 @@ def _budget_draws(
 
     The seed implementation rebuilt the eligible list and walked a fresh
     running sum on **every** draw — O(cells) per unit of budget. Here the
-    (ascending) eligible list and its prefix sums persist across draws and
-    are rebuilt only when the drawn cell stops being eligible; each draw is
-    then one bisection. Equivalences that keep the RNG stream and the chosen
-    indices bit-identical to :func:`reference_weighted_choice`:
+    (ascending) eligible list, its weights and their prefix sums persist
+    across draws and each draw is one bisection. Eligibility depends only on
+    a cell's own count, which only drawing that cell raises, so only the
+    drawn cell can leave: when it does, it is deleted at its position ``j``
+    and the prefix sums are recomputed from ``j`` on. *eligible* is consumed.
+    Equivalences that keep the RNG stream and the chosen indices
+    bit-identical to :func:`reference_weighted_choice`:
 
     * ``itertools.accumulate`` adds left-to-right exactly like the seed's
-      ``acc += w`` walk (``0.0 + w == w`` for non-negative floats), so the
-      prefix-sum floats are the same bit patterns;
+      ``acc += w`` walk (``0.0 + w == w`` for non-negative floats), and the
+      prefixes before ``j`` are unchanged, so continuing the sum from
+      ``cum[j - 1]`` gives the same bit patterns as a full rebuild;
     * the first index with ``point <= acc`` is the first prefix >= point,
       i.e. ``bisect_left``; a point beyond the total falls back to the last
       eligible cell exactly like the seed's loop exhaustion;
-    * dropping cells preserves ascending order, so the rebuilt list equals
-      the seed's full rescan.
+    * deleting one position preserves ascending order, so the list equals
+      the seed's full rescan;
+    * with every weight zero, ``rand.choice(range(len(eligible)))`` picks the
+      position with the same single ``_randbelow`` call that
+      ``rand.choice(eligible)`` makes.
     """
     weights = [probabilities[i] for i in eligible]
     cum = list(accumulate(weights))
     while budget > 0 and eligible:
         total = cum[-1]
         if total <= 0:
-            chosen = rand.choice(eligible)
+            j = rand.choice(range(len(eligible)))
         else:
             point = rand.random() * total
             j = bisect_left(cum, point)
             if j >= len(eligible):
                 j = len(eligible) - 1
-            chosen = eligible[j]
+        chosen = eligible[j]
         on_draw(chosen)
         budget -= draw_cost(chosen)
         if not still_eligible(chosen):
-            eligible = [i for i in eligible if still_eligible(i)]
-            weights = [probabilities[i] for i in eligible]
-            cum = list(accumulate(weights))
+            del eligible[j], weights[j]
+            if j:
+                cum[j:] = islice(accumulate(weights[j:], initial=cum[j - 1]), 1, None)
+            else:
+                cum = list(accumulate(weights))
 
 
 def sample_exact(

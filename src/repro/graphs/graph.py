@@ -222,21 +222,20 @@ class Graph:
         return _sorted_if_possible(list(self._adj))
 
     def edges(self) -> list[Edge]:
-        """All edges, each reported once with deterministic endpoint order."""
-        seen: set[frozenset] = set()
-        out: list[Edge] = []
-        for u in self._adj:
-            for v in self._adj[u]:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((u, v))
-        return out
+        """All edges, each reported once with deterministic endpoint order.
+
+        An edge is reported from its earlier-inserted endpoint, as ``(u, v)``
+        in the walk over vertices in insertion order and each neighbour set.
+        """
+        position = {v: i for i, v in enumerate(self._adj)}
+        return [(u, v) for u, nbrs in self._adj.items()
+                for v in nbrs if position[u] < position[v]]
 
     def sorted_edges(self) -> list[Edge]:
         """Edges with sorted endpoints, sorted overall (for stable comparisons)."""
         try:
-            return sorted(tuple(sorted((u, v))) for u, v in self.edges())
+            # the same pair sorted((u, v)) returns: it compares v < u once
+            return sorted((v, u) if v < u else (u, v) for u, v in self.edges())
         except TypeError:
             return self.edges()
 

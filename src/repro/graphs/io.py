@@ -75,8 +75,7 @@ def _write_edge_lines(graph: Graph, handle: io.TextIOBase) -> None:
     isolated = [v for v in graph.vertices() if graph.degree(v) == 0]
     if isolated:
         handle.write("# isolated: " + " ".join(str(v) for v in isolated) + "\n")
-    for u, v in graph.sorted_edges():
-        handle.write(f"{u} {v}\n")
+    handle.write("".join(f"{u} {v}\n" for u, v in graph.sorted_edges()))
 
 
 def read_adjacency(path_or_file: PathLike | io.TextIOBase) -> Graph:

@@ -18,7 +18,10 @@ response must use the submitting tenant's own vertex ids. The resolution:
 
 Step 3 is cheap (linear in the artifact) and step 2 is the expensive part,
 so isomorphic resubmissions skip everything but one canonical search — while
-responses stay byte-identical per request whatever the cache contains.
+responses stay byte-identical per request whatever the cache contains. A
+byte-identical resubmission skips that search too: the scheduler memoizes
+each request text's :class:`CanonicalInput` (its ``inverse`` holds the
+requester's own ids, so the memo stays in memory and out of the cache).
 """
 
 from __future__ import annotations

@@ -5,8 +5,16 @@ One asyncio consumer drains the bounded submission queue in batches (up to
 a shared :class:`repro.runtime.ParallelMap` — so N concurrent HTTP requests
 cost one pool dispatch, not N. Each batch runs two pipelined stages:
 
-1. **canonicalize** every job's graph (certificate + labeling, the per-
-   request cost that cannot be skipped — it *is* the cache key);
+1. **canonicalize** every job's graph (certificate + labeling — the digest
+   *is* the cache key). The search runs once per distinct request text: a
+   bounded LRU memo maps the SHA-256 of ``edges_text`` to the
+   :class:`~repro.service.canon.CanonicalInput` it produced, and only the
+   texts it has not seen go to the pool, each once however many jobs of the
+   batch carry it. ``parse_graph`` and the search are deterministic, so a
+   hit is exact. The memo holds the requester's own vertex ids
+   (``CanonicalInput.inverse``), so it lives in this process's memory only —
+   never in the artifact cache, its keys or its spill files — and only a
+   byte-identical text can hit it. Failed searches are not memoized;
 2. probe the :class:`~repro.service.cache.ArtifactCache` with the digests,
    then compute only the **misses** in a second pool pass and install their
    artifacts in the cache.
@@ -26,10 +34,13 @@ response bodies — only into latency and the metrics counters.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+from collections import OrderedDict
 
 from repro.runtime import ParallelMap
 from repro.service import handlers
 from repro.service.cache import ArtifactCache
+from repro.service.canon import CanonicalInput
 from repro.service.jobs import Job
 from repro.service.protocol import (
     AuditRequest,
@@ -72,6 +83,12 @@ class BatchScheduler:
         self.queue_high_water = 0
         self.canonicalize_stats: dict | None = None
         self.artifact_stats: dict | None = None
+        #: SHA-256 of a request's edges_text -> its CanonicalInput, LRU
+        #: bounded like the artifact cache (batch thread only)
+        self._canonical_memo: OrderedDict[bytes, CanonicalInput] = OrderedDict()
+        #: jobs answered from the memo / canonical searches run
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -158,10 +175,7 @@ class BatchScheduler:
     # -- batch execution (worker thread) ----------------------------------
 
     def _run_batch(self, batch: list[Job]) -> list[tuple[str, object]]:
-        stage1 = self._pmap.map(handlers.execute_canonicalize,
-                                [job.graph for job in batch])
-        if self._pmap.last_stats is not None:
-            self.canonicalize_stats = self._pmap.last_stats.to_dict()
+        stage1 = self._canonicalize(batch)
         outcomes: list[tuple[str, object] | None] = [None] * len(batch)
         pending: list[tuple[int, object, dict]] = []  # (batch index, ci, keys)
         specs: list[dict] = []
@@ -188,6 +202,42 @@ class BatchScheduler:
                 outcomes[index] = ("ok", (ci, artifact))
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
+
+    def _canonicalize(self, batch: list[Job]) -> list[tuple[str, object]]:
+        """Stage 1: each job's tagged CanonicalInput, searching unseen texts only.
+
+        ``memo_misses`` counts the searches run; every other job — a memo hit
+        or a repeat of a text earlier in the same batch — is a ``memo_hits``.
+        """
+        # surrogatepass: a JSON "\ud800" escape decodes to a lone surrogate,
+        # which strict UTF-8 refuses; the encoding stays injective
+        keys = [hashlib.sha256(job.request.edges_text.encode(
+                    "utf-8", "surrogatepass")).digest() for job in batch]
+        found: dict[bytes, tuple[str, object]] = {}
+        unseen: dict[bytes, object] = {}  # text key -> graph to search
+        for key, job in zip(keys, batch):
+            if key in found or key in unseen:
+                continue
+            ci = self._canonical_memo.get(key)
+            if ci is None:
+                unseen[key] = job.graph
+            else:
+                self._canonical_memo.move_to_end(key)
+                found[key] = ("ok", ci)
+        self.memo_hits += len(batch) - len(unseen)
+        self.memo_misses += len(unseen)
+        if unseen:
+            searched = self._pmap.map(handlers.execute_canonicalize,
+                                      list(unseen.values()))
+            if self._pmap.last_stats is not None:
+                self.canonicalize_stats = self._pmap.last_stats.to_dict()
+            for key, outcome in zip(unseen, searched):
+                found[key] = outcome
+                if outcome[0] == "ok":
+                    self._canonical_memo[key] = outcome[1]
+                    if len(self._canonical_memo) > self.cache.max_entries:
+                        self._canonical_memo.popitem(last=False)
+        return [found[key] for key in keys]
 
     def _plan(self, job: Job, ci) -> tuple[dict, dict | None, dict | None]:
         """Cache probe for one job: (keys, stage-2 spec, cached artifact).
@@ -256,6 +306,11 @@ class BatchScheduler:
     def stats(self) -> dict:
         payload: dict = {
             "batches": self.batches,
+            "canonical_memo": {
+                "entries": len(self._canonical_memo),
+                "hits": self.memo_hits,
+                "misses": self.memo_misses,
+            },
             "completed": self.completed,
             "failed": self.failed,
             "jobs": self._pmap.jobs,

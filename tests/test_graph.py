@@ -1,7 +1,7 @@
 """Tests for the core graph structure."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.graphs.graph import Graph
 from repro.utils.validation import GraphStructureError
@@ -167,3 +167,67 @@ class TestProperties:
             dist = g.bfs_distances(u)
             for v, d in dist.items():
                 assert g.bfs_distances(v).get(u) == d
+
+
+def frozenset_edges(graph):
+    """The edge walk before the position walk: one frozenset per entry."""
+    seen = set()
+    out = []
+    for u in graph.vertices():
+        for v in graph.neighbors(u):
+            key = frozenset((u, v))
+            if key not in seen:
+                seen.add(key)
+                out.append((u, v))
+    return out
+
+
+def frozenset_sorted_edges(graph):
+    try:
+        return sorted(tuple(sorted((u, v))) for u, v in frozenset_edges(graph))
+    except TypeError:
+        return frozenset_edges(graph)
+
+
+INT_LABELS = st.integers(0, 7)
+STR_LABELS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def mutated_graphs(draw):
+    """Graphs built by adds, removals and re-adds over int, str or mixed
+    labels, so insertion order and neighbour-set order both churn."""
+    labels = draw(st.sampled_from(
+        [INT_LABELS, STR_LABELS, st.one_of(INT_LABELS, STR_LABELS)]))
+    g = Graph()
+    for _ in range(draw(st.integers(0, 40))):
+        op = draw(st.sampled_from(["edge", "edge", "edge", "vertex", "unedge", "unvertex"]))
+        u, v = draw(labels), draw(labels)
+        if op == "edge" and u != v:
+            g.add_edge(u, v)
+        elif op == "vertex":
+            g.add_vertex(u)
+        elif op == "unedge" and g.has_edge(u, v):
+            g.remove_edge(u, v)
+        elif op == "unvertex" and u in g:
+            g.remove_vertex(u)
+    return g
+
+
+class TestEdgeWalk:
+    @given(mutated_graphs())
+    def test_edges_match_the_frozenset_walk(self, g):
+        assert g.edges() == frozenset_edges(g)
+        assert g.sorted_edges() == frozenset_sorted_edges(g)
+
+    def test_readded_vertex_reports_from_the_earlier_endpoint(self):
+        g = Graph.from_edges([(1, 2), (2, 3)])
+        g.remove_vertex(1)
+        g.add_edge(1, 2)  # 1 is now inserted after 2
+        assert (2, 1) in g.edges()
+        assert g.edges() == frozenset_edges(g)
+        assert g.sorted_edges() == [(1, 2), (2, 3)]
+
+    def test_mixed_labels_fall_back_to_the_walk(self):
+        g = Graph.from_edges([(1, "a"), ("b", 2)], vertices=[9])
+        assert g.sorted_edges() == g.edges() == frozenset_edges(g)

@@ -1,11 +1,16 @@
 """Backbone-based sampling (Algorithms 3, 4, 5)."""
 
+import random
+from bisect import bisect_left
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.anonymize import anonymize
 from repro.core.backbone import backbone
 from repro.core.sampling import (
+    _budget_draws,
     inverse_degree_probabilities,
     sample_approximate,
     sample_exact,
@@ -189,3 +194,78 @@ class TestParallelSampling:
         short = sample_many(g, p, n, 3, rng=9)
         long = sample_many(g, p, n, 8, rng=9)
         assert all(x == y for x, y in zip(short, long))
+
+
+def rescan_budget_draws(rand, probabilities, eligible, still_eligible,
+                        draw_cost, on_draw, budget):
+    """The budget loop before incremental deletion: a full rescan whenever
+    the drawn cell fills (the reference for :func:`_budget_draws`)."""
+    weights = [probabilities[i] for i in eligible]
+    cum = list(accumulate(weights))
+    while budget > 0 and eligible:
+        total = cum[-1]
+        if total <= 0:
+            chosen = rand.choice(eligible)
+        else:
+            point = rand.random() * total
+            j = bisect_left(cum, point)
+            if j >= len(eligible):
+                j = len(eligible) - 1
+            chosen = eligible[j]
+        on_draw(chosen)
+        budget -= draw_cost(chosen)
+        if not still_eligible(chosen):
+            eligible = [i for i in eligible if still_eligible(i)]
+            weights = [probabilities[i] for i in eligible]
+            cum = list(accumulate(weights))
+
+
+@st.composite
+def quota_problems(draw):
+    """Cell capacities, weights (zeros and all-zero included), per-draw
+    costs (1 as in ``allocate_quota`` or a cell's size as in
+    ``sample_exact``) and a budget from none to beyond every capacity."""
+    cells = draw(st.integers(1, 25))
+    capacity = draw(st.lists(st.integers(1, 6), min_size=cells, max_size=cells))
+    weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0), st.sampled_from([0.1, 1 / 3]))
+    weights = draw(st.one_of(
+        st.just([0.0] * cells),
+        st.lists(weight, min_size=cells, max_size=cells)))
+    cost = draw(st.sampled_from(["unit", "size"]))
+    costs = [1] * cells if cost == "unit" else [draw(st.integers(1, 3)) for _ in range(cells)]
+    budget = draw(st.integers(0, sum(c * s for c, s in zip(costs, capacity)) + 5))
+    return capacity, weights, costs, budget, draw(st.integers(0, 2**32 - 1))
+
+
+def run_budget(engine, capacity, weights, costs, budget, seed):
+    rand = random.Random(seed)
+    quota = [0] * len(capacity)
+
+    def eligible(i):
+        return quota[i] < capacity[i]
+
+    def take(i):
+        quota[i] += 1
+
+    engine(rand, weights, [i for i in range(len(capacity)) if eligible(i)],
+           eligible, lambda i: costs[i], take, budget)
+    return quota, rand.random()
+
+
+class TestBudgetDraws:
+    """The incremental budget loop is RNG-exact to the full rescan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(quota_problems())
+    def test_matches_the_rescan_loop(self, problem):
+        assert run_budget(_budget_draws, *problem) == \
+            run_budget(rescan_budget_draws, *problem)
+
+    @pytest.mark.parametrize("weights", [[0.0] * 6, [0.0, 0.5, 0.0, 0.2, 0.3, 0.0]])
+    def test_exhausts_every_cell(self, weights):
+        # a budget beyond every capacity fills each cell, the zero-weight
+        # ones included, and the stream stays in step afterwards
+        problem = ([1, 3, 2, 4, 1, 2], weights, [1] * 6, 40, 7)
+        quota, after = run_budget(_budget_draws, *problem)
+        assert quota == [1, 3, 2, 4, 1, 2]
+        assert (quota, after) == run_budget(rescan_budget_draws, *problem)

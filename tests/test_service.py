@@ -26,6 +26,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceError,
+    handlers,
     publication_from_lines,
 )
 
@@ -265,16 +266,27 @@ class TestValidation:
         assert info.value.status == 404
 
 
+def memo_stats(client: ServiceClient) -> dict:
+    return client.metrics()["scheduler"]["canonical_memo"]
+
+
 class TestIsomorphicCaching:
     def test_relabeled_resubmission_hits_and_relabels(self):
-        """Tenant B's isomorphic graph reuses A's artifact, keeps B's ids."""
+        """Tenant B's isomorphic graph reuses A's artifact, keeps B's ids.
+
+        B's text differs from A's, so it misses the canonical memo and runs
+        its own search; only the artifact is shared."""
         with DaemonHarness() as harness, harness.client() as client:
             client.publish(FIG3, k=2, tenant="alice")
-            before = client.metrics()["cache"]
+            before = client.metrics()
             lines = client.publish(FIG3_RELABELED, k=2, tenant="bob")
-            after = client.metrics()["cache"]
-            assert after["hits"] == before["hits"] + 1
-            assert after["puts"] == before["puts"]
+            after = client.metrics()
+            assert after["cache"]["hits"] == before["cache"]["hits"] + 1
+            assert after["cache"]["puts"] == before["cache"]["puts"]
+            memo_before = before["scheduler"]["canonical_memo"]
+            memo_after = after["scheduler"]["canonical_memo"]
+            assert memo_after["misses"] == memo_before["misses"] + 1
+            assert memo_after["hits"] == memo_before["hits"]
             edges, partition, meta = publication_from_lines(lines)
             graph, _, original_n = load_publication(
                 PublicationBuffers.from_texts(edges, partition, meta))
@@ -290,6 +302,95 @@ class TestIsomorphicCaching:
             after = client.metrics()["cache"]
             assert after["misses"] == before["misses"] + 1
             assert after["puts"] == before["puts"] + 1
+
+
+class TestCanonicalMemo:
+    """Each distinct request text is canonicalized once per daemon."""
+
+    def test_memo_warm_bodies_match_cold_daemons(self):
+        requests = [(path, payload) for path, payload in request_matrix()
+                    if payload["edges"] == FIG3 and payload["tenant"] == "t-alpha"]
+        assert len({path for path, _ in requests}) == 4
+        cold = []
+        for request in requests:  # a fresh daemon per endpoint
+            with DaemonHarness() as harness:
+                cold.extend(collect_serial(harness, [request]))
+        with DaemonHarness() as harness:
+            with harness.client() as client:
+                # memoizes FIG3 but caches no artifact the requests ask for
+                client.publish(FIG3, k=3, tenant="t-alpha")
+            warm = collect_serial(harness, requests)
+            with harness.client() as client:
+                memo = memo_stats(client)
+        assert warm == cold
+        assert memo == {"entries": 1, "hits": 4, "misses": 1}
+
+    def test_failed_canonicalization_is_not_memoized(self, monkeypatch):
+        real = handlers.canonicalize
+        calls = []
+
+        def flaky(graph):
+            calls.append(graph.n)
+            if len(calls) == 1:
+                raise RuntimeError("search exploded")
+            return real(graph)
+
+        monkeypatch.setattr(handlers, "canonicalize", flaky)
+        with DaemonHarness(jobs=1) as harness, harness.client() as client:
+            with pytest.raises(ServiceError) as info:
+                client.publish(PATH4, k=2)
+            assert info.value.status == 500
+            assert "canonicalization failed" in info.value.message
+            assert memo_stats(client) == {"entries": 0, "hits": 0, "misses": 1}
+            first = client.publish(PATH4, k=2)  # searched again
+            again = client.publish(PATH4, k=2)  # now memoized
+            assert memo_stats(client) == {"entries": 1, "hits": 1, "misses": 2}
+        assert len(calls) == 2
+        assert again == first
+
+    def test_lru_eviction_at_cache_size(self):
+        first, second, third = PATH4, FIG3, "0 1\n1 2\n"
+        with DaemonHarness(cache_entries=2) as harness, harness.client() as client:
+            for text in (first, second, first):  # the hit refreshes first
+                client.publish(text, k=2)
+            assert memo_stats(client) == {"entries": 2, "hits": 1, "misses": 2}
+            client.publish(third, k=2)  # evicts second, the least recent
+            client.publish(first, k=2)
+            assert memo_stats(client) == {"entries": 2, "hits": 2, "misses": 3}
+            client.publish(second, k=2)  # searched again
+            assert memo_stats(client) == {"entries": 2, "hits": 2, "misses": 4}
+
+    def test_identical_texts_in_one_batch_search_once(self, monkeypatch):
+        real = handlers.canonicalize
+        calls = []
+
+        def counting(graph):
+            calls.append(graph.n)
+            return real(graph)
+
+        monkeypatch.setattr(handlers, "canonicalize", counting)
+        with DaemonHarness(jobs=1) as harness:
+            harness.pause()
+            with harness.client() as client:
+                jobs = [client.publish(FIG3, k=k, run_async=True)["job"]
+                        for k in (2, 2, 3)]
+                harness.resume()
+                states = [client.wait_for_job(job)["state"] for job in jobs]
+                scheduler = client.metrics()["scheduler"]
+        assert states == ["done"] * 3
+        assert scheduler["largest_batch"] == 3
+        assert len(calls) == 1
+        assert scheduler["canonical_memo"] == {"entries": 1, "hits": 2, "misses": 1}
+
+    def test_lone_surrogate_text_is_memoized(self, daemon):
+        # a JSON "\ud800" escape in a comment line is valid input whose text
+        # strict UTF-8 cannot encode
+        text = "# \ud800\n0 1\n1 2\n"
+        with daemon.client() as client:
+            first = client.publish(text, k=2)
+            before = memo_stats(client)
+            assert client.publish(text, k=2) == first
+            assert memo_stats(client)["hits"] == before["hits"] + 1
 
 
 class TestRestartWarmCache:
@@ -486,35 +587,52 @@ class TestConcurrencyInvariance:
             warm = collect_serial(harness, requests)  # now fully cached
         assert warm == cold
 
-        with DaemonHarness(jobs=2, max_batch=8) as harness:
-            port = harness.port
-            order = list(range(len(requests))) * 2  # duplicates warm the cache
-            random.Random(7).shuffle(order)
-            results: dict[int, bytes] = {}
-            errors: list[BaseException] = []
-            lock = threading.Lock()
+        for memo_warm in (False, True):
+            with DaemonHarness(jobs=2, max_batch=8) as harness:
+                if memo_warm:
+                    # k=3 publishes memoize every text's canonical input but
+                    # cache no artifact the matrix asks for
+                    with harness.client() as client:
+                        for text in (FIG3, FIG3_RELABELED, PATH4):
+                            client.publish(text, k=3)
+                results = collect_shuffled(harness, requests)
+                with harness.client() as client:
+                    memo = memo_stats(client)
+            assert results == cold, f"memo_warm={memo_warm}"
+            # one search per distinct text, whatever the batching
+            assert memo["misses"] == 3, memo
 
-            def worker(indices: list[int]) -> None:
-                try:
-                    with ServiceClient("127.0.0.1", port, timeout=60) as client:
-                        for i in indices:
-                            path, payload = requests[i]
-                            status, _, body = client.request_raw(
-                                "POST", path, payload)
-                            assert status == 200, body
-                            with lock:
-                                assert results.setdefault(i, body) == body
-                except BaseException as exc:  # noqa: BLE001 - surfaced below
-                    errors.append(exc)
 
-            threads = [threading.Thread(target=worker, args=(order[w::4],))
-                       for w in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not errors, errors
-        assert [results[i] for i in range(len(requests))] == cold
+def collect_shuffled(harness: DaemonHarness,
+                     requests: list[tuple[str, dict]]) -> list[bytes]:
+    """Every request twice, shuffled over four concurrent clients."""
+    order = list(range(len(requests))) * 2  # duplicates warm the cache
+    random.Random(7).shuffle(order)
+    results: dict[int, bytes] = {}
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def worker(indices: list[int]) -> None:
+        try:
+            with harness.client(timeout=60) as client:
+                for i in indices:
+                    path, payload = requests[i]
+                    status, _, body = client.request_raw("POST", path, payload)
+                    assert status == 200, body
+                    with lock:
+                        assert results.setdefault(i, body) == body
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(order[w::4],))
+               for w in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    return [results[i] for i in range(len(requests))]
 
 
 class TestBackpressure:
