@@ -1,20 +1,22 @@
 """Benchmark: incremental re-anonymization vs global recomputation.
 
 Times a sequential release (paper Section 6: the published network keeps
-growing) through both :func:`repro.core.republish.republish_published`
-engines —
+growing) two ways —
 
-* **incremental** — frontier orbits on the contracted colored graph plus
-  seeded colour refinement (:mod:`repro.isomorphism.incremental`);
-* **full** — the parity oracle: global orbit recomputation of the same
-  partition on the whole grown graph;
+* **incremental** — :func:`repro.core.republish.republish`: frontier orbits
+  on the contracted colored graph plus seeded colour refinement
+  (:mod:`repro.isomorphism.incremental`), then the array copy engine;
+* **full** — the reference oracle
+  :func:`repro.core.reference.reference_republish`: global orbit
+  recomputation of the same partition on the whole grown graph, then the
+  dict copy oracle;
 
 on Barabási–Albert and Watts–Strogatz release-0 publications at
 n ∈ {5000, 20000} (``--quick``: n ∈ {300, 1000}) grown by a 1% delta (one
 new vertex per hundred published originals, each anchoring to one or two
-published vertices), asserts that both engines emit **byte-identical**
-publications (.edges/.partition/.meta texts), and writes the timings to
-``BENCH_incremental.json``. Engine runs are interleaved and the reported
+published vertices), asserts that both publish **byte-identical**
+.edges/.partition/.meta texts, and writes the timings to
+``BENCH_incremental.json``. The two runs are interleaved and the reported
 speedup is the median of per-round ratios, robust to machine-throughput
 drift (same protocol as ``bench_kernel.py``).
 
@@ -40,6 +42,7 @@ import time
 
 from repro.core.anonymize import anonymize
 from repro.core.publication import PublicationBuffers, save_publication_triple
+from repro.core.reference import reference_republish
 from repro.core.republish import GraphDelta, republish
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.utils.rng import derive_seed
@@ -71,9 +74,9 @@ def _growth_delta(published, n: int, seed: int) -> GraphDelta:
     return GraphDelta(new, sorted(edges))
 
 
-def _texts(result) -> tuple[str, str, str]:
+def _texts(graph, partition, original_n) -> tuple[str, str, str]:
     buffers = PublicationBuffers.in_memory()
-    save_publication_triple(*result.published(), buffers)
+    save_publication_triple(graph, partition, original_n, buffers)
     return buffers.texts()
 
 
@@ -104,15 +107,17 @@ def run(sizes) -> list[dict]:
                               derive_seed(2010, f"bench/{family}/{n}"))
         pairs = 5 if n >= 5000 else 3
         fast_s, slow_s, ratio, ours, oracle = _paired(
-            lambda: republish(previous, delta, method=METHOD,
-                              engine="incremental"),
-            lambda: republish(previous, delta, method=METHOD, engine="full"),
+            lambda: republish(previous, delta, method=METHOD),
+            lambda: reference_republish(*previous.published(), delta, K,
+                                        method=METHOD),
             pairs,
         )
-        if _texts(ours) != _texts(oracle):
+        expected = _texts(oracle.graph, oracle.to_partition(),
+                          previous.original_n + delta.n_vertices)
+        if _texts(*ours.published()) != expected:
             raise AssertionError(
-                f"parity violation: engines published different bytes on "
-                f"{family} n={n}")
+                f"parity violation: republish and the reference oracle "
+                f"published different bytes on {family} n={n}")
         rows.append({
             "family": family,
             "n": n,

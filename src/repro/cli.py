@@ -74,13 +74,12 @@ def cmd_republish(args: argparse.Namespace) -> int:
     delta = read_delta(args.delta)
     result = republish_published(
         graph, partition, original_n, delta, args.k,
-        method=args.method, copy_unit=args.copy_unit, engine=args.engine)
+        method=args.method, copy_unit=args.copy_unit)
     save_publication_triple(
         *result.published(), args.out,
         extra={
             "k": result.k,
             "copy_unit": result.copy_unit,
-            "engine": result.engine,
             "closure_edges": result.closure_edges,
             "delta_vertices": delta.n_vertices,
             "delta_edges": delta.n_edges,
@@ -372,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "'add-edge <u> <v>' lines")
     p.add_argument("-k", type=int, default=5)
     p.add_argument("--out", default="republished", help="output prefix")
-    p.add_argument("--engine", choices=("incremental", "full"),
-                   default="incremental",
-                   help="orbit engine for the frontier (results are "
-                        "byte-identical; 'full' recomputes globally)")
     p.add_argument("--method", choices=("exact", "stabilization"), default="exact")
     p.add_argument("--copy-unit", choices=("orbit", "component"), default="orbit")
     p.set_defaults(func=cmd_republish)

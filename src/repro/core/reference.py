@@ -14,8 +14,12 @@ They are consumed by
   anonymize → publish → backbone → sample through :func:`reference_pipeline`
   and :func:`repro.arraycore.run_pipeline` on every audit corpus case and
   fails on any divergence;
-* ``benchmarks/bench_scale.py`` — the ``--quick`` parity gate and the
-  baseline for the end-to-end speedup figures.
+* :mod:`repro.audit.campaign` — ``sequence:engine-parity`` checks every
+  sequential release against :func:`reference_republish`;
+* ``benchmarks/bench_scale.py`` and ``benchmarks/bench_incremental.py`` —
+  the parity gates and the baselines for the speedup figures.
+
+Only tests, :mod:`repro.audit` and ``benchmarks/`` import this module.
 
 Like :mod:`repro.graphs.reference` (the CSR kernel oracles), this module
 values obviousness over speed: the code is the seed implementation, kept
@@ -29,9 +33,12 @@ import random
 from collections.abc import Sequence
 
 from repro.core.orbit_copy import MutablePartitionedGraph
+from repro.core.republish import GraphDelta, _closure_augment, _extract_frontier_cells
 from repro.graphs.graph import Graph, _sorted_if_possible
 from repro.graphs.partition import Partition
 from repro.isomorphism.canonical import certificate
+from repro.isomorphism.orbits import automorphism_partition
+from repro.isomorphism.refinement import stable_partition
 from repro.utils.rng import RandomLike, ensure_rng
 from repro.utils.validation import PartitionError, SamplingError, check_positive_int
 
@@ -40,6 +47,7 @@ __all__ = [
     "reference_backbone",
     "reference_anonymize_cells",
     "reference_pipeline",
+    "reference_republish",
     "reference_sample_approximate",
     "reference_sample_exact_growth",
     "reference_weighted_choice",
@@ -138,6 +146,50 @@ def reference_anonymize_cells(
         else:
             state.grow_cell_to(cell_index, required)
     return state
+
+
+def _reference_frontier_cells(
+    base: Graph, previous_partition: Partition, frontier: list[int], method: str,
+) -> list[tuple[int, ...]]:
+    """The frontier cells by global recomputation on the whole grown graph."""
+    if not frontier:
+        return []
+    initial = Partition(
+        [list(cell) for cell in previous_partition.cells] + [sorted(frontier)])
+    if method == "exact":
+        orbits = automorphism_partition(base, initial=initial).orbits
+        return list(orbits.restrict(frontier).cells)
+    refined = stable_partition(base, initial=initial)
+    return _extract_frontier_cells(refined, previous_partition, frontier)
+
+
+def reference_republish(
+    previous_graph: Graph,
+    previous_partition: Partition,
+    previous_original_n: int,
+    delta: GraphDelta,
+    k: int,
+    *,
+    method: str = "exact",
+    copy_unit: str = "orbit",
+) -> MutablePartitionedGraph:
+    """Seed sequential release: closure, global recomputation, dict copies.
+
+    The oracle for :func:`repro.core.republish.republish_published`, called
+    with the same arguments: the closure-augmented base graph, the frontier
+    cells recomputed on the whole grown graph (no contracted search, no
+    seeded worklist), and :func:`reference_anonymize_cells` growing every
+    cell to *k*. Returns the grown state; the release it describes counts
+    ``previous_original_n + delta.n_vertices`` original vertices.
+    """
+    base, _ = _closure_augment(previous_graph, previous_partition, delta)
+    frontier = list(delta.add_vertices)
+    new_cells = _reference_frontier_cells(base, previous_partition, frontier, method)
+    cells = Partition(
+        [list(cell) for cell in previous_partition.cells]
+        + [list(cell) for cell in new_cells])
+    return reference_anonymize_cells(
+        base, cells, {i: k for i in range(len(cells))}, copy_unit)
 
 
 def reference_weighted_choice(

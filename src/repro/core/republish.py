@@ -26,10 +26,10 @@ ingredients make that sound:
 * **frontier repair** — only the frontier needs fresh orbit work, done
   incrementally (:mod:`repro.isomorphism.incremental`): a seeded refinement
   for the stabilization method, a contracted colored search for the exact
-  method. ``engine="full"`` recomputes the same partition globally; the two
-  engines are bit-identical (the audit's sequence certificates verify this),
-  so the full engine serves as the incremental engine's oracle and as the
-  baseline in ``benchmarks/bench_incremental.py``.
+  method. :func:`repro.core.reference.reference_republish` recomputes the
+  same partition globally; it is the parity oracle (the audit's sequence
+  checks compare the two byte for byte) and the baseline in
+  ``benchmarks/bench_incremental.py``.
 
 Frontier cells below k are then grown by the ordinary copy machinery of
 Algorithm 1 on the augmented base graph, and the release ships as the usual
@@ -52,11 +52,8 @@ from repro.isomorphism.incremental import (
     frontier_orbits,
     incremental_stable_partition,
 )
-from repro.isomorphism.orbits import automorphism_partition
-from repro.isomorphism.refinement import stable_partition
 from repro.utils.validation import AnonymizationError, check_positive_int
 
-_ENGINES = ("incremental", "full")
 _METHODS = ("exact", "stabilization")
 
 PathLike = str | os.PathLike
@@ -215,7 +212,6 @@ class RepublicationResult:
     closure_edges: int
     original_n: int
     k: int
-    engine: str
     method: str
     copy_unit: str
     records: list[CopyRecord] = field(default_factory=list)
@@ -259,24 +255,15 @@ def _closure_augment(previous_graph: Graph, previous_partition: Partition,
 
 
 def _frontier_cells(
-    base: Graph, previous_partition: Partition, frontier: list[int],
-    method: str, engine: str,
+    base: Graph, previous_partition: Partition, frontier: list[int], method: str,
 ) -> list[tuple[int, ...]]:
-    """The new release's frontier cells, by either engine (identical output)."""
+    """The new release's frontier cells, computed incrementally."""
     if not frontier:
         return []
-    if engine == "incremental":
-        if method == "exact":
-            return list(frontier_orbits(
-                base, previous_partition, frontier, method="exact").cells)
-        refined = incremental_stable_partition(base, previous_partition, frontier)
-        return _extract_frontier_cells(refined, previous_partition, frontier)
-    initial = Partition(
-        [list(cell) for cell in previous_partition.cells] + [sorted(frontier)])
     if method == "exact":
-        orbits = automorphism_partition(base, initial=initial).orbits
-        return list(orbits.restrict(frontier).cells)
-    refined = stable_partition(base, initial=initial)
+        return list(frontier_orbits(
+            base, previous_partition, frontier, method="exact").cells)
+    refined = incremental_stable_partition(base, previous_partition, frontier)
     return _extract_frontier_cells(refined, previous_partition, frontier)
 
 
@@ -301,7 +288,6 @@ def republish_published(
     *,
     method: str = "exact",
     copy_unit: str = "orbit",
-    engine: str = "incremental",
 ) -> RepublicationResult:
     """Grow a published release by *delta* and re-anonymize with monotone cells.
 
@@ -311,19 +297,16 @@ def republish_published(
     partitioned by fresh orbit work and grown to *k* by the ordinary copy
     machinery. With ``k`` larger than the previous release's, old cells grow
     too — still monotone.
-
-    *engine* selects the incremental frontier computation or the global
-    recomputation of the same partition (``"full"``, the parity oracle); the
-    published bytes are identical either way.
     """
     check_positive_int(k, "k")
     check_positive_int(previous_original_n, "previous_original_n")
+    if previous_original_n > previous_graph.n:
+        raise AnonymizationError(
+            f"previous_original_n={previous_original_n} is impossible for a "
+            f"{previous_graph.n}-vertex published graph")
     if method not in _METHODS:
         raise AnonymizationError(
             f"unknown method {method!r}; expected one of {_METHODS}")
-    if engine not in _ENGINES:
-        raise AnonymizationError(
-            f"unknown engine {engine!r}; expected one of {_ENGINES}")
     if copy_unit not in ("orbit", "component"):
         raise AnonymizationError(f"unknown copy_unit {copy_unit!r}")
     if not previous_partition.covers(previous_graph.vertices()):
@@ -333,7 +316,7 @@ def republish_published(
 
     base, closure_edges = _closure_augment(previous_graph, previous_partition, delta)
     frontier = list(delta.add_vertices)
-    new_cells = _frontier_cells(base, previous_partition, frontier, method, engine)
+    new_cells = _frontier_cells(base, previous_partition, frontier, method)
     partition1 = Partition(
         [list(cell) for cell in previous_partition.cells]
         + [list(cell) for cell in new_cells])
@@ -351,7 +334,6 @@ def republish_published(
         closure_edges=closure_edges,
         original_n=previous_original_n + delta.n_vertices,
         k=k,
-        engine=engine,
         method=method,
         copy_unit=copy_unit,
         records=records,
@@ -366,7 +348,6 @@ def republish(
     *,
     method: str | None = None,
     copy_unit: str | None = None,
-    engine: str = "incremental",
 ) -> RepublicationResult:
     """Sequential release on top of a previous anonymization result.
 
@@ -383,7 +364,6 @@ def republish(
         k=previous.k if k is None else k,
         method=method,
         copy_unit=previous.copy_unit if copy_unit is None else copy_unit,
-        engine=engine,
     )
 
 

@@ -16,7 +16,6 @@ DET002    wall-clock reads in library code
 DET003    ordering hazards (set iteration into output, ``id()`` sort keys)
 MUT001    structural ``Graph`` mutation without CSR-cache invalidation
 PAR001    non-module-level callables handed to the parallel runtime
-API001    missing type annotations on public functions of the typed core
 ARR001    array-core purity (no dict-graph fallbacks in the hot path)
 ASYNC001  shared service state read, awaited, then written (torn state)
 ASYNC002  iterating shared service state with awaits in the loop body

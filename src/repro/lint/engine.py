@@ -52,13 +52,6 @@ class LintConfig:
     wallclock_allowed_dirs: tuple[str, ...] = ("benchmarks",)
     #: exact posix path suffixes where wall-clock reads are sanctioned
     wallclock_allowed_files: tuple[str, ...] = ("repro/runtime/stats.py",)
-    #: posix path fragments marking the typed core (API001)
-    typed_core: tuple[str, ...] = (
-        "repro/graphs/",
-        "repro/runtime/",
-        "repro/utils/",
-        "repro/lint/",
-    )
     #: posix path fragments marking the array-first core (ARR001)
     array_core: tuple[str, ...] = ("repro/arraycore/",)
 
@@ -201,10 +194,6 @@ class FileContext:
         self.imports = _import_table(tree)
 
     # -- path predicates ------------------------------------------------
-
-    def in_typed_core(self) -> bool:
-        probe = "/" + self.relpath
-        return any(fragment in probe for fragment in self.config.typed_core)
 
     def in_array_core(self) -> bool:
         probe = "/" + self.relpath

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.lint.rules import (
-    api,
     arraycore,
     asynchazard,
     determinism,
@@ -14,7 +13,6 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "api",
     "arraycore",
     "asynchazard",
     "determinism",

@@ -210,6 +210,7 @@ class ParallelMap:
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)),
                                    mp_context=_pool_context())
         orderly = False
+        cancel = True
         try:
             pending: dict[Future, tuple[int, list, int]] = {}
             for start, chunk in chunks:
@@ -231,6 +232,14 @@ class ParallelMap:
                     if isinstance(exc, BrokenProcessPool):
                         raise _ParallelAbort("broken-pool")
                     if _is_pickling_error(exc):
+                        # The call queue's feeder thread fails a chunk that
+                        # does not pickle by deleting it from the executor's
+                        # work table. cancel_futures makes the manager thread
+                        # copy the chunks in flight into a table of its own,
+                        # which those deletions never reach: it then waits
+                        # for them forever, and interpreter exit joins it. So
+                        # the queued chunks drain instead of being cancelled.
+                        cancel = False
                         raise _ParallelAbort("unpicklable")
                     if attempt >= self.max_retries:
                         raise _ParallelAbort("task-failure")
@@ -239,7 +248,7 @@ class ParallelMap:
                     pending[pool.submit(_apply_chunk, fn, chunk)] = (start, chunk, attempt + 1)
             orderly = True
         finally:
-            pool.shutdown(wait=orderly, cancel_futures=not orderly)
+            pool.shutdown(wait=orderly, cancel_futures=cancel and not orderly)
         return results
 
 

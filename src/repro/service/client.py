@@ -137,15 +137,13 @@ class ServiceClient:
 
     def republish(self, edges_text: str, *, add_vertices: list[int],
                   add_edges: list[list[int]] | None = None, k: int = 2,
-                  engine: str = "incremental", tenant: str = "public",
-                  seed: int = 0, method: str = "exact",
-                  copy_unit: str = "orbit",
+                  tenant: str = "public", seed: int = 0,
+                  method: str = "exact", copy_unit: str = "orbit",
                   run_async: bool = False) -> list[dict] | dict:
         """Sequential release: *edges_text* is the original release-0 input;
         the delta lists new vertices and insertions-only edges."""
-        payload = {"edges": edges_text, "k": k, "engine": engine,
-                   "tenant": tenant, "seed": seed, "method": method,
-                   "copy_unit": copy_unit,
+        payload = {"edges": edges_text, "k": k, "tenant": tenant,
+                   "seed": seed, "method": method, "copy_unit": copy_unit,
                    "delta": {"add_vertices": list(add_vertices),
                              "add_edges": [list(e) for e in add_edges or []]}}
         if run_async:

@@ -316,8 +316,7 @@ class KSymmetryDaemon:
         try:
             self.scheduler.submit(job)
         except SchedulerFull as exc:
-            job.state = "failed"
-            job.error = str(exc)
+            job.fail(429, str(exc))
             retry_after = retry_after_seconds(self.scheduler.queued,
                                               self.config.max_batch)
             await response.send_error(
@@ -350,8 +349,9 @@ class KSymmetryDaemon:
         headers = {"X-Job-Id": job.id}
         if job.state != "done":
             await response.send_error(
-                500, job.error or "job failed", extra_headers=headers)
-            return 500
+                job.error_status, job.error or "job failed",
+                extra_headers=headers)
+            return job.error_status
         if job.result_obj is not None:
             await response.send_json(200, job.result_obj, extra_headers=headers)
             return 200
@@ -379,12 +379,12 @@ class KSymmetryDaemon:
                     job.result_obj = handlers.build_audit_obj(ci, artifact)
                 # a late result after a sync 504 is still valid and pollable
                 job.state = "done"
+            except ProtocolError as exc:
+                job.fail(400, str(exc))
             except Exception as exc:  # noqa: BLE001 - rendering must not leak
-                job.state = "failed"
-                job.error = f"response rendering failed: {exc!r}"
+                job.fail(500, f"response rendering failed: {exc!r}")
         else:
-            job.state = "failed"
-            job.error = str(value)
+            job.fail(500, str(value))
         job.rendered.set()
 
 

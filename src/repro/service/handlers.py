@@ -26,7 +26,7 @@ Cache keys (content addressing):
   ``:attackers=..:target=..`` (targeted (k,l)) /
   ``model=sybil:targets=..:sybils=..:k=..:seed=<effective>`` (the sybil
   plant is seeded, so like samples its artifact stays tenant-private)
-* ``republish:<digest>:<publish params>:engine=..:delta=<canonical token>``
+* ``republish:<digest>:<publish params>:delta=<canonical token>``
 
 ``<digest>`` is the certificate digest (isomorphism-invariant), so
 isomorphic inputs from any tenant share publish/audit artifacts; sample keys
@@ -57,6 +57,7 @@ from repro.graphs.partition import Partition
 from repro.service.canon import CanonicalInput, canonicalize
 from repro.service.protocol import (
     AuditRequest,
+    ProtocolError,
     PublishRequest,
     RepublishRequest,
     SampleRequest,
@@ -173,8 +174,7 @@ def _compute_republish(spec: dict) -> dict:
         [(decode(u), decode(v)) for u, v in spec["delta_edges"]])
     result = republish_published(
         previous_graph, previous_partition, publish["original_n"], delta,
-        spec["k"], method=spec["method"], copy_unit=spec["copy_unit"],
-        engine=spec["engine"])
+        spec["k"], method=spec["method"], copy_unit=spec["copy_unit"])
     return {
         "publish": computed_publish,
         "republish": {
@@ -184,7 +184,6 @@ def _compute_republish(spec: dict) -> dict:
             "delta_count": spec["delta_count"],
             "edges": [list(edge) for edge in result.graph.sorted_edges()],
             "edges_added": result.edges_added,
-            "engine": result.engine,
             "k": result.k,
             "method": result.method,
             "original_n": result.original_n,
@@ -317,8 +316,7 @@ def republish_key(ci: CanonicalInput, request: RepublishRequest) -> str:
         repr((len(request.delta_vertices),
               _canonical_delta_edges(ci, request))).encode("utf-8"),
     ).hexdigest()[:16]
-    return (f"republish:{ci.digest}:{request.params.cache_token()}"
-            f":engine={request.engine}:delta={token}")
+    return f"republish:{ci.digest}:{request.params.cache_token()}:delta={token}"
 
 
 def publish_spec(ci: CanonicalInput, request: _ParamsRequest) -> dict:
@@ -350,7 +348,6 @@ def republish_spec(ci: CanonicalInput, request: RepublishRequest,
     spec = publish_spec(ci, request)
     spec.update({
         "kind": "republish",
-        "engine": request.engine,
         "delta_count": len(request.delta_vertices),
         "delta_edges": _canonical_delta_edges(ci, request),
         "publish_artifact": publish_artifact,
@@ -396,9 +393,10 @@ def _chunked_text(lines_text: str, per_chunk: int) -> list[str]:
             for i in range(0, len(lines), per_chunk)] or [""]
 
 
-def build_publish_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
-    """NDJSON payload of a publish response, in the requester's vertex ids."""
-    mapping = ci.map_back(list(artifact["vertex_ids"]))
+def _publication_lines(ci: CanonicalInput, artifact: dict,
+                       mapping: dict[int, int], extra: dict) -> list[dict]:
+    """NDJSON events of a publication artifact relabeled through *mapping*:
+    ``meta`` (with *extra*), ``partition``, the ``edges`` chunks, ``end``."""
     graph = Graph.from_edges(
         ((mapping[u], mapping[v]) for u, v in artifact["edges"]),
         vertices=(mapping[w] for w in artifact["vertex_ids"]))
@@ -406,12 +404,7 @@ def build_publish_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
         [sorted(mapping[w] for w in cell) for cell in artifact["cells"]])
     buffers = PublicationBuffers.in_memory()
     save_publication_triple(graph, partition, artifact["original_n"], buffers,
-                            extra={
-                                "k": artifact["k"],
-                                "copy_unit": artifact["copy_unit"],
-                                "vertices_added": artifact["vertices_added"],
-                                "edges_added": artifact["edges_added"],
-                            })
+                            extra=extra)
     edges_text, partition_text, meta_text = buffers.texts()
     lines: list[dict] = [{
         "digest": ci.digest,
@@ -427,6 +420,17 @@ def build_publish_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
                       "event": "edges", "text": chunk})
     lines.append({"event": "end", "lines": len(lines) + 1})
     return lines
+
+
+def build_publish_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
+    """NDJSON payload of a publish response, in the requester's vertex ids."""
+    mapping = ci.map_back(list(artifact["vertex_ids"]))
+    return _publication_lines(ci, artifact, mapping, {
+        "k": artifact["k"],
+        "copy_unit": artifact["copy_unit"],
+        "vertices_added": artifact["vertices_added"],
+        "edges_added": artifact["edges_added"],
+    })
 
 
 def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
@@ -442,6 +446,9 @@ def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
     * the delta's new vertices (``publish_n .. publish_n+delta_count-1``)
       keep the requester's own delta ids, by rank;
     * release-1 growth copies get fresh ids above everything already used.
+
+    A delta id equal to a copy id the publish response minted is the
+    requester's mistake: :class:`ProtocolError` (a 400 ``bad delta``).
     """
     base = artifact["publish_n"]
     delta_count = artifact["delta_count"]
@@ -449,9 +456,10 @@ def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
     mapping = ci.map_back(release0)
     collisions = set(request.delta_vertices) & set(mapping.values())
     if collisions:
-        raise ValueError(
-            f"delta vertex ids {sorted(collisions)} collide with release-0 "
-            "copy ids; pick delta ids above the published graph's vertex ids")
+        raise ProtocolError(
+            f"bad delta: delta vertex ids {sorted(collisions)} collide with "
+            "release-0 copy ids; pick delta ids above the published graph's "
+            "vertex ids")
     for rank, requester_id in enumerate(request.delta_vertices):
         mapping[base + rank] = requester_id
     fresh = max(mapping.values(), default=-1) + 1
@@ -459,37 +467,14 @@ def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
         w for w in artifact["vertex_ids"] if w >= base + delta_count)
     for rank, w in enumerate(growth):
         mapping[w] = fresh + rank
-    graph = Graph.from_edges(
-        ((mapping[u], mapping[v]) for u, v in artifact["edges"]),
-        vertices=(mapping[w] for w in artifact["vertex_ids"]))
-    partition = Partition(
-        [sorted(mapping[w] for w in cell) for cell in artifact["cells"]])
-    buffers = PublicationBuffers.in_memory()
-    save_publication_triple(graph, partition, artifact["original_n"], buffers,
-                            extra={
-                                "k": artifact["k"],
-                                "copy_unit": artifact["copy_unit"],
-                                "engine": artifact["engine"],
-                                "closure_edges": artifact["closure_edges"],
-                                "delta_vertices": delta_count,
-                                "vertices_added": artifact["vertices_added"],
-                                "edges_added": artifact["edges_added"],
-                            })
-    edges_text, partition_text, meta_text = buffers.texts()
-    lines: list[dict] = [{
-        "digest": ci.digest,
-        "event": "meta",
-        "text": meta_text,
-    }, {
-        "event": "partition",
-        "text": partition_text,
-    }]
-    chunks = _chunked_text(edges_text, EDGE_CHUNK_LINES)
-    for index, chunk in enumerate(chunks):
-        lines.append({"chunk": index, "chunks": len(chunks),
-                      "event": "edges", "text": chunk})
-    lines.append({"event": "end", "lines": len(lines) + 1})
-    return lines
+    return _publication_lines(ci, artifact, mapping, {
+        "k": artifact["k"],
+        "copy_unit": artifact["copy_unit"],
+        "closure_edges": artifact["closure_edges"],
+        "delta_vertices": delta_count,
+        "vertices_added": artifact["vertices_added"],
+        "edges_added": artifact["edges_added"],
+    })
 
 
 def build_sample_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:

@@ -26,7 +26,8 @@ class Job:
     """One accepted request moving through the scheduler."""
 
     __slots__ = ("id", "kind", "tenant", "graph", "request", "state", "error",
-                 "future", "rendered", "result_lines", "result_obj")
+                 "error_status", "future", "rendered", "result_lines",
+                 "result_obj")
 
     def __init__(self, job_id: str, request: Request, graph) -> None:
         self.id = job_id
@@ -36,6 +37,8 @@ class Job:
         self.request = request
         self.state = "queued"
         self.error: str | None = None
+        #: HTTP status of a failed job's answer (4xx: the request's fault)
+        self.error_status = 500
         #: resolved by the scheduler: ("ok", (ci, artifact)) | ("error", msg)
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()
         #: set once the response payload has been rendered from the artifact
@@ -47,6 +50,11 @@ class Job:
         """Called on the event loop once the batch thread finishes this job."""
         if not self.future.done():
             self.future.set_result(outcome)
+
+    def fail(self, status: int, message: str) -> None:
+        self.state = "failed"
+        self.error_status = status
+        self.error = message
 
     @property
     def finished(self) -> bool:
@@ -66,6 +74,7 @@ class Job:
                 payload["result"] = self.result_obj
         if self.error is not None:
             payload["error"] = self.error
+            payload["status"] = self.error_status
         return payload
 
 

@@ -46,7 +46,6 @@ MAX_KL_SUBSETS = 200_000
 _METHODS = ("exact", "stabilization")
 _COPY_UNITS = ("orbit", "component")
 _STRATEGIES = ("approximate", "exact")
-_ENGINES = ("incremental", "full")
 
 #: attack models /v1/attack-audit accepts (hierarchy is the legacy default)
 ATTACK_MODELS = ("hierarchy", "adjacency", "multiset", "sybil")
@@ -136,7 +135,6 @@ class RepublishRequest:
     run_async: bool
     edges_text: str
     params: PublishParams
-    engine: str
     delta_vertices: tuple[int, ...]
     delta_edges: tuple[tuple[int, int], ...]
 
@@ -349,9 +347,6 @@ def validate_audit_graph(request: AuditRequest, graph: Graph) -> None:
 def parse_republish(payload: object) -> RepublishRequest:
     obj = _ensure_dict(payload)
     tenant, seed, run_async = _common(obj)
-    engine = _expect(obj, "engine", str, "incremental")
-    if engine not in _ENGINES:
-        raise ProtocolError(f"engine must be one of {_ENGINES}, got {engine!r}")
     delta_obj = _expect(obj, "delta", dict)
     vertices = delta_obj.get("add_vertices", [])
     edges = delta_obj.get("add_edges", [])
@@ -379,7 +374,7 @@ def parse_republish(payload: object) -> RepublishRequest:
         raise ProtocolError(f"bad delta: {exc}") from exc
     return RepublishRequest(tenant=tenant, seed=seed, run_async=run_async,
                             edges_text=_edges_text(obj),
-                            params=_publish_params(obj), engine=engine,
+                            params=_publish_params(obj),
                             delta_vertices=delta.add_vertices,
                             delta_edges=delta.add_edges)
 

@@ -6,6 +6,9 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core.publication import load_publication, save_publication_triple
+from repro.core.reference import reference_republish
+from repro.core.republish import read_delta
 from repro.datasets.paper_graphs import figure1_graph
 from repro.graphs.io import read_edge_list, write_edge_list
 
@@ -71,7 +74,10 @@ class TestRepublishCommand:
         assert main(["republish", publication, delta_file, "-k", "2",
                      "--out", out]) == 0
         meta = json.load(open(out + ".meta"))
-        assert meta["k"] == 2 and meta["engine"] == "incremental"
+        assert list(meta) == ["original_n", "k", "copy_unit", "closure_edges",
+                              "delta_vertices", "delta_edges",
+                              "vertices_added", "edges_added"]
+        assert meta["k"] == 2
         assert meta["delta_vertices"] == 1 and meta["delta_edges"] == 1
         assert meta["original_n"] == 9  # figure 1's 8 vertices + the newcomer
         release0 = read_edge_list(publication + ".edges")
@@ -82,18 +88,23 @@ class TestRepublishCommand:
 
     def test_republish_engines_byte_identical(self, publication, delta_file,
                                               tmp_path):
-        ours, oracle = str(tmp_path / "inc"), str(tmp_path / "full")
+        """The CLI's incremental engine and the global-recompute oracle
+        write byte-identical releases."""
+        out = str(tmp_path / "rel1")
         assert main(["republish", publication, delta_file, "-k", "2",
-                     "--out", ours]) == 0
-        assert main(["republish", publication, delta_file, "-k", "2",
-                     "--engine", "full", "--out", oracle]) == 0
+                     "--out", out]) == 0
+        graph, partition, original_n = load_publication(publication)
+        delta = read_delta(delta_file)
+        state = reference_republish(graph, partition, original_n, delta, 2)
+        oracle = str(tmp_path / "oracle")
+        save_publication_triple(state.graph, state.to_partition(),
+                                original_n + delta.n_vertices, oracle)
         for suffix in (".edges", ".partition"):
-            assert open(ours + suffix).read() == open(oracle + suffix).read()
-        recorded = json.load(open(ours + ".meta"))
-        recorded_oracle = json.load(open(oracle + ".meta"))
-        assert recorded.pop("engine") == "incremental"
-        assert recorded_oracle.pop("engine") == "full"
-        assert recorded == recorded_oracle
+            assert open(out + suffix).read() == open(oracle + suffix).read()
+        meta = json.load(open(out + ".meta"))
+        assert meta["original_n"] == original_n + delta.n_vertices
+        assert meta["vertices_added"] == state.vertices_added
+        assert meta["edges_added"] == state.edges_added
 
     def test_republished_prefix_chains(self, publication, delta_file, tmp_path):
         first = str(tmp_path / "rel1")

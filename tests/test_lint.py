@@ -25,10 +25,7 @@ from repro.utils.validation import ReproError
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: a relative path inside the typed core (API001) and outside every
-#: wall-clock allowlist entry (DET002)
-CORE_RELPATH = "src/repro/graphs/fixture_module.py"
-#: a library path outside the typed core
+#: a library path outside every wall-clock allowlist entry (DET002)
 LIB_RELPATH = "src/repro/experiments/fixture_module.py"
 #: a path inside the array-first core (ARR001)
 ARRAY_RELPATH = "src/repro/arraycore/fixture_module.py"
@@ -45,7 +42,6 @@ FIXTURE_CASES = {
     "DET003": ("det003_positive.py", 6, "det003_near_miss.py", LIB_RELPATH),
     "MUT001": ("mut001_positive.py", 2, "mut001_near_miss.py", LIB_RELPATH),
     "PAR001": ("par001_positive.py", 4, "par001_near_miss.py", LIB_RELPATH),
-    "API001": ("api001_positive.py", 4, "api001_near_miss.py", CORE_RELPATH),
     "ARR001": ("arr001_positive.py", 5, "arr001_near_miss.py", ARRAY_RELPATH),
     "ASYNC001": ("async001_positive.py", 2, "async001_near_miss.py", SERVICE_RELPATH),
     "ASYNC002": ("async002_positive.py", 2, "async002_near_miss.py", SERVICE_RELPATH),
@@ -100,7 +96,7 @@ class TestFixtureCorpus:
 
 
 class TestPathSensitivity:
-    """DET002 and API001 change behaviour with the file's location."""
+    """DET002 and ARR001 change behaviour with the file's location."""
 
     def test_wallclock_allowed_in_benchmarks(self):
         source = (FIXTURES / "det002_positive.py").read_text()
@@ -111,11 +107,6 @@ class TestPathSensitivity:
         source = (FIXTURES / "det002_positive.py").read_text()
         assert lint_source(source, "src/repro/runtime/stats.py",
                            select=frozenset({"DET002"})) == []
-
-    def test_annotations_not_required_outside_typed_core(self):
-        source = (FIXTURES / "api001_positive.py").read_text()
-        assert lint_source(source, LIB_RELPATH,
-                           select=frozenset({"API001"})) == []
 
     def test_dict_adjacency_allowed_outside_array_core(self):
         source = (FIXTURES / "arr001_positive.py").read_text()
@@ -342,16 +333,6 @@ class TestToolConfig:
         assert set(strict["module"]) == {
             "repro.graphs.*", "repro.runtime.*", "repro.utils.*", "repro.lint.*"
         }
-
-    def test_typed_core_config_matches_lint_default(self, pyproject):
-        from repro.lint import LintConfig
-
-        configured = {m[:-2] for m in pyproject["tool"]["mypy"]["overrides"][0]["module"]}
-        lint_default = {
-            fragment.strip("/").replace("/", ".")
-            for fragment in LintConfig().typed_core
-        }
-        assert configured == lint_default
 
     @pytest.mark.skipif(__import__("shutil").which("ruff") is None,
                         reason="ruff not installed (CI runs it)")

@@ -21,6 +21,7 @@ from repro.audit.campaign import SEQUENCE_CHECKS, failures_for_sequence
 from repro.audit.certificates import check_sequential_composition
 from repro.audit.corpus import generate_base_graph, generate_delta, make_sequence_case
 from repro.core.anonymize import anonymize
+from repro.core.reference import reference_republish
 from repro.core.republish import (
     GraphDelta,
     RepublicationResult,
@@ -220,6 +221,7 @@ class TestRepublish:
 
     @pytest.mark.parametrize("method", ["exact", "stabilization"])
     def test_engine_parity(self, method):
+        """The incremental frontier against the global recomputation oracle."""
         base = barabasi_albert_graph(18, 2, rng=5)
         previous = anonymize(base, 2, method=method)
         published = previous.graph
@@ -227,11 +229,13 @@ class TestRepublish:
         delta = GraphDelta([first, first + 1],
                            [(published.sorted_vertices()[3], first),
                             (first, first + 1)])
-        ours = republish(previous, delta, method=method, engine="incremental")
-        oracle = republish(previous, delta, method=method, engine="full")
+        ours = republish(previous, delta, method=method)
+        oracle = reference_republish(*previous.published(), delta, 2,
+                                     method=method)
         assert ours.graph == oracle.graph
-        assert ours.partition == oracle.partition
-        assert ours.closure_edges == oracle.closure_edges
+        assert ours.partition == oracle.to_partition()
+        assert ours.vertices_added == oracle.vertices_added
+        assert ours.edges_added == oracle.edges_added
 
     def test_chained_releases(self):
         previous = anonymize(two_triangles(), 2)
@@ -246,14 +250,13 @@ class TestRepublish:
         previous = anonymize(two_triangles(), 2)
         delta = GraphDelta([6], [(0, 6)])
         graph, partition, original_n = previous.published()
-        with pytest.raises(AnonymizationError, match="engine"):
-            republish_published(graph, partition, original_n, delta, 2,
-                                engine="psychic")
         with pytest.raises(AnonymizationError, match="method"):
             republish_published(graph, partition, original_n, delta, 2,
                                 method="psychic")
         with pytest.raises(ReproError):
             republish_published(graph, partition, original_n, delta, 0)
+        with pytest.raises(AnonymizationError, match="impossible"):
+            republish_published(graph, partition, graph.n + 1, delta, 2)
         with pytest.raises(AnonymizationError, match="cover"):
             republish_published(graph, Partition([[0, 1]]), original_n, delta, 2)
         with pytest.raises(AnonymizationError, match="two published"):
@@ -353,7 +356,7 @@ class TestSequentialCompositionCertificate:
             previous_partition=previous.partition,
             base_graph=naive.graph, delta=delta, closure_edges=0,
             original_n=previous.original_n + 1, k=2,
-            engine="incremental", method="exact", copy_unit="orbit")
+            method="exact", copy_unit="orbit")
         failures = check_sequential_composition(imposter)
         assert any("composed attack" in f for f in failures)
 

@@ -6,10 +6,15 @@ fails in a pool and succeeds during the serial fallback.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.runtime import (
     JOBS_ENV_VAR,
     ParallelMap,
@@ -138,6 +143,51 @@ class TestParallelExecution:
         results, stats = parallel_map_with_stats(lambda t: t[1] * 2, tasks, jobs=2)
         assert results == [0, 2, 4, 6, 8, 10]
         assert stats.fallback == "unpicklable"
+
+    def test_unpicklable_fallback_lets_the_interpreter_exit(self):
+        """Chunks still queued for pickling when the serial fallback starts
+        must leave the pool's work table; otherwise its manager thread waits
+        for them forever and interpreter exit, which joins that thread,
+        hangs. The child keeps every pool alive, so the manager thread always
+        sees the shutdown while the executor still exists (the case that
+        reaches the work table)."""
+        code = textwrap.dedent("""
+            import operator, pickle, time
+            import repro.runtime.executor as executor_module
+            from repro.runtime import ParallelMap
+
+            class SlowToRefusePickling:
+                def __reduce__(self):
+                    time.sleep(0.1)
+                    raise pickle.PicklingError("refuses to pickle")
+
+            kept = []  # no pool is released before its manager thread winds down
+
+            class KeptPool(executor_module.ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    kept.append(self)
+
+            executor_module.ProcessPoolExecutor = KeptPool
+            executor = ParallelMap(2, chunk_size=1)
+            tasks = [(SlowToRefusePickling(), x) for x in range(6)]
+            assert executor.map(operator.itemgetter(1), tasks) == list(range(6))
+            assert executor.last_stats.fallback == "unpicklable"
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # its own session, so a hung child takes its pool workers with it
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            _, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("interpreter exit hung after the unpicklable fallback")
+        assert proc.returncode == 0, stderr
 
 
 class TestFaultInjection:

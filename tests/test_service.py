@@ -19,7 +19,13 @@ import time
 import pytest
 
 import repro
-from repro.core.publication import PublicationBuffers, load_publication
+from repro.core.publication import (
+    PublicationBuffers,
+    load_publication,
+    save_publication_triple,
+)
+from repro.core.reference import reference_republish
+from repro.core.republish import GraphDelta
 from repro.datasets.paper_graphs import figure3_graph
 from repro.service import (
     KSymmetryDaemon,
@@ -445,7 +451,8 @@ class TestRepublishEndpoint:
             index = cells1.index_of(cell[0])
             assert all(cells1.index_of(v) == index for v in cell)
         assert cells1.min_cell_size() >= 2
-        assert meta["engine"] == "incremental"
+        assert list(meta) == ["original_n", "k", "copy_unit", "closure_edges",
+                              "delta_vertices", "vertices_added", "edges_added"]
         assert meta["delta_vertices"] == 1
         assert meta["vertices_added"] >= 0 and meta["closure_edges"] >= 0
 
@@ -484,21 +491,61 @@ class TestRepublishEndpoint:
             <= set(graph.vertices())
 
     def test_engines_agree_modulo_recorded_engine(self, daemon):
+        """The daemon's incremental release equals the global-recompute
+        oracle's bytes grown from its own release 0, and its meta records
+        no engine."""
         with daemon.client() as client:
+            release0 = client.publish(FIG3, k=2)
             ours = client.republish(FIG3, add_vertices=[1000],
-                                    add_edges=[[1000, 1]], k=2,
-                                    engine="incremental")
-            oracle = client.republish(FIG3, add_vertices=[1000],
-                                      add_edges=[[1000, 1]], k=2,
-                                      engine="full")
-        edges_a, partition_a, meta_a = publication_from_lines(ours)
-        edges_b, partition_b, meta_b = publication_from_lines(oracle)
-        assert edges_a == edges_b
-        assert partition_a == partition_b
-        recorded_a, recorded_b = json.loads(meta_a), json.loads(meta_b)
-        assert recorded_a.pop("engine") == "incremental"
-        assert recorded_b.pop("engine") == "full"
-        assert recorded_a == recorded_b
+                                    add_edges=[[1000, 1]], k=2)
+        graph, cells, original_n, _ = self._triple(release0)
+        delta = GraphDelta([1000], [(1000, 1)])
+        state = reference_republish(graph, cells, original_n, delta, 2)
+        oracle = PublicationBuffers.in_memory()
+        save_publication_triple(state.graph, state.to_partition(),
+                                original_n + delta.n_vertices, oracle)
+        edges, partition, meta = publication_from_lines(ours)
+        oracle_edges, oracle_partition, _ = oracle.texts()
+        assert edges == oracle_edges
+        assert partition == oracle_partition
+        recorded = json.loads(meta)
+        assert "engine" not in recorded
+        assert recorded["original_n"] == original_n + delta.n_vertices
+        assert recorded["vertices_added"] == state.vertices_added
+        assert recorded["edges_added"] == state.edges_added
+
+    def test_engine_field_is_ignored(self, daemon):
+        """A leftover ``engine`` field is an unknown field: it cannot change
+        the release, so any value answers the same bytes."""
+        payload = {"edges": FIG3, "k": 2, "delta": self.DELTA}
+        with daemon.client() as client:
+            bodies = []
+            for extra in ({}, {"engine": "full"}, {"engine": "psychic"}):
+                status, _, body = client.request_raw(
+                    "POST", "/v1/republish", {**payload, **extra})
+                assert status == 200, body
+                bodies.append(body)
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
+    def test_delta_id_colliding_with_copy_id_400(self, daemon):
+        """Publishing FIG3 at k=2 mints copy ids 9 and 10; a delta reusing
+        10 is the requester's mistake, in the sync answer and the job."""
+        with daemon.client() as client:
+            published, _, _, _ = self._triple(client.publish(FIG3, k=2))
+            assert 10 in set(published.vertices()) - set(figure3_graph().vertices())
+            with pytest.raises(ServiceError) as info:
+                client.republish(FIG3, add_vertices=[10],
+                                 add_edges=[[10, 1]], k=2)
+            accepted = client.republish(FIG3, add_vertices=[10],
+                                        add_edges=[[10, 1]], k=2,
+                                        run_async=True)
+            descriptor = client.wait_for_job(accepted["job"])
+        assert info.value.status == 400
+        assert info.value.message.startswith("bad delta: ")
+        assert "collide" in info.value.message
+        assert descriptor["state"] == "failed"
+        assert descriptor["status"] == 400
+        assert descriptor["error"] == info.value.message
 
     def test_async_republish_matches_sync(self, daemon):
         with daemon.client() as client:
@@ -536,12 +583,6 @@ class TestRepublishEndpoint:
                 status, _, body = client.request_raw(
                     "POST", "/v1/republish", payload)
                 assert status == 400, body
-
-    def test_unknown_engine_400(self, daemon):
-        with daemon.client() as client, pytest.raises(ServiceError) as info:
-            client.republish(FIG3, add_vertices=[1000], k=2, engine="psychic")
-        assert info.value.status == 400
-        assert "engine" in info.value.message
 
 
 def request_matrix() -> list[tuple[str, dict]]:
