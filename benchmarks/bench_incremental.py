@@ -41,7 +41,7 @@ import sys
 import time
 
 from repro.core.anonymize import anonymize
-from repro.core.publication import PublicationBuffers, save_publication_triple
+from repro.core.publication import publication_texts
 from repro.core.reference import reference_republish
 from repro.core.republish import GraphDelta, republish
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
@@ -72,12 +72,6 @@ def _growth_delta(published, n: int, seed: int) -> GraphDelta:
         for _ in range(rand.randint(1, 2)):
             edges.add((rand.choice(ids), v))
     return GraphDelta(new, sorted(edges))
-
-
-def _texts(graph, partition, original_n) -> tuple[str, str, str]:
-    buffers = PublicationBuffers.in_memory()
-    save_publication_triple(graph, partition, original_n, buffers)
-    return buffers.texts()
 
 
 def _paired(fast, slow, pairs: int) -> tuple[float, float, float, object, object]:
@@ -112,9 +106,9 @@ def run(sizes) -> list[dict]:
                                         method=METHOD),
             pairs,
         )
-        expected = _texts(oracle.graph, oracle.to_partition(),
-                          previous.original_n + delta.n_vertices)
-        if _texts(*ours.published()) != expected:
+        expected = publication_texts(oracle.graph, oracle.to_partition(),
+                                     previous.original_n + delta.n_vertices)
+        if publication_texts(*ours.published()) != expected:
             raise AssertionError(
                 f"parity violation: republish and the reference oracle "
                 f"published different bytes on {family} n={n}")

@@ -41,7 +41,7 @@ from repro.audit.corpus import (
     make_sequence_case,
 )
 from repro.core.anonymize import anonymize
-from repro.core.publication import PublicationBuffers, save_publication_triple
+from repro.core.publication import publication_texts
 from repro.core.reference import reference_republish
 from repro.core.republish import republish
 from repro.graphs.graph import Graph
@@ -215,12 +215,6 @@ def _run_case(task: tuple) -> CaseReport:
     return CaseReport(case=case, n=graph.n, m=graph.m, checks_run=ran, failures=failures)
 
 
-def _publication_texts(graph, partition, original_n) -> tuple[str, str, str]:
-    buffers = PublicationBuffers.in_memory()
-    save_publication_triple(graph, partition, original_n, buffers)
-    return buffers.texts()
-
-
 def failures_for_sequence(case: SequenceCase) -> tuple[list[CheckFailure], list[str]]:
     """Run the release-sequence checks on one two-release history.
 
@@ -244,8 +238,8 @@ def failures_for_sequence(case: SequenceCase) -> tuple[list[CheckFailure], list[
         return [CheckFailure("crash:republish", repr(exc))], ["crash:republish"]
 
     def engine_parity() -> list[str]:
-        ours = _publication_texts(*release.published())
-        expected = _publication_texts(
+        ours = publication_texts(*release.published())
+        expected = publication_texts(
             oracle.graph, oracle.to_partition(),
             previous.original_n + delta.n_vertices)
         messages = []

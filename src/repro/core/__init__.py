@@ -38,9 +38,10 @@ from repro.core.partitions import (
     is_subautomorphism_partition,
 )
 from repro.core.publication import (
-    PublicationBuffers,
     PublicationFormatError,
     load_publication,
+    parse_publication,
+    publication_texts,
     save_publication,
     save_publication_triple,
 )
@@ -80,9 +81,10 @@ __all__ = [
     "backbone",
     "QuotientResult",
     "quotient",
-    "PublicationBuffers",
     "PublicationFormatError",
     "load_publication",
+    "parse_publication",
+    "publication_texts",
     "save_publication",
     "save_publication_triple",
     "GraphDelta",

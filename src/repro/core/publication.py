@@ -1,25 +1,27 @@
-"""Persisting and loading publications: the (G', V', n) triple on disk.
+"""The publication triple (G', V', n) as text: its one writer and one reader.
 
-The paper's publisher hands analysts three artefacts; this module fixes a
-simple on-disk format for them (also used by the CLI):
+The paper's publisher hands analysts three artefacts, in this format:
 
-* ``<prefix>.edges``     — the published graph as an edge list;
-* ``<prefix>.partition`` — one line per cell, whitespace-separated vertices;
-* ``<prefix>.meta``      — JSON: original_n plus publisher bookkeeping.
+* ``edges``     — the published graph as an edge list
+  (:func:`repro.graphs.io.edge_list_lines`);
+* ``partition`` — one line per cell, whitespace-separated vertices
+  (:func:`cell_text`);
+* ``meta``      — JSON: original_n plus publisher bookkeeping
+  (:func:`meta_text`).
 
-Round-trips are exact; loading validates that the partition covers the graph
-so a corrupted pair fails fast instead of producing silent nonsense in the
-samplers. The partition parser tolerates CRLF line endings and trailing
-blank lines (artefacts that crossed a Windows checkout or a paste buffer),
-and rejects non-integer tokens and duplicate vertex ids — including a
-vertex repeated across *different* cells — with a
-:class:`PublicationFormatError` naming the offending line.
+:func:`publication_texts` writes a triple as those three strings and
+:func:`parse_publication` reads them back; :func:`save_publication`,
+:func:`save_publication_triple` and :func:`load_publication` only move the
+strings to and from ``<prefix>.edges`` / ``.partition`` / ``.meta``. The
+array pipeline and ksymmetryd render through the same three helpers.
 
-Destinations may be filesystem prefixes **or in-memory buffers** — mirroring
-the ``PathLike | io.TextIOBase`` convention of :mod:`repro.graphs.io` — via
-:class:`PublicationBuffers`, a named triple of open text streams. The
-service daemon uses the buffer form to serialise publications straight into
-streamed responses without temp files; byte content is identical either way.
+Round-trips are exact. Loading validates that the partition covers the
+graph and that ``original_n`` is a possible JSON integer, so a corrupted
+triple fails fast instead of producing silent nonsense in the samplers. The
+partition parser tolerates CRLF line endings and trailing blank lines, and
+rejects non-integer tokens and duplicate vertex ids — including a vertex
+repeated across *different* cells — with a :class:`PublicationFormatError`
+naming the offending line.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 
 from repro.core.anonymize import AnonymizationResult
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, Vertex
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.partition import Partition
 from repro.utils.validation import ReproError
 
 PathLike = str | os.PathLike
+
+#: file suffixes of the triple, in (edges, partition, meta) order
+_SUFFIXES = (".edges", ".partition", ".meta")
 
 
 class PublicationFormatError(ReproError, ValueError):
@@ -46,59 +51,34 @@ class PublicationFormatError(ReproError, ValueError):
     """
 
 
-@dataclass
-class PublicationBuffers:
-    """The publication triple as three open text streams.
-
-    ``in_memory()`` builds a triple of ``StringIO`` buffers;
-    :func:`save_publication` fills them and :func:`load_publication` reads
-    them back (rewinding first, so a freshly written triple round-trips
-    without caller-side ``seek``). ``texts()`` snapshots the current
-    contents, which is what the daemon streams to clients.
-    """
-
-    edges: io.TextIOBase = field(default_factory=io.StringIO)
-    partition: io.TextIOBase = field(default_factory=io.StringIO)
-    meta: io.TextIOBase = field(default_factory=io.StringIO)
-
-    @classmethod
-    def in_memory(cls) -> "PublicationBuffers":
-        return cls()
-
-    @classmethod
-    def from_texts(cls, edges: str, partition: str, meta: str) -> "PublicationBuffers":
-        """Buffers pre-loaded with the three file contents (for loading)."""
-        return cls(io.StringIO(edges), io.StringIO(partition), io.StringIO(meta))
-
-    def texts(self) -> tuple[str, str, str]:
-        """The (edges, partition, meta) contents written so far."""
-        return (self._text(self.edges), self._text(self.partition), self._text(self.meta))
-
-    @staticmethod
-    def _text(stream: io.TextIOBase) -> str:
-        if isinstance(stream, io.StringIO):
-            return stream.getvalue()
-        position = stream.tell()
-        stream.seek(0)
-        try:
-            return stream.read()
-        finally:
-            stream.seek(position)
-
-    def rewind(self) -> None:
-        for stream in (self.edges, self.partition, self.meta):
-            stream.seek(0)
+def cell_text(cells: Iterable[Sequence[Vertex]]) -> str:
+    """The ``partition`` text: one line of space-separated members per cell."""
+    return "".join(" ".join(map(str, cell)) + "\n" for cell in cells)
 
 
-PublicationDest = PathLike | PublicationBuffers
+def meta_text(original_n: int, extra: dict | None = None) -> str:
+    """The ``meta`` text: ``original_n`` first, then *extra*, as indented JSON."""
+    meta = {"original_n": original_n}
+    meta.update(extra or {})
+    return json.dumps(meta, indent=2) + "\n"
 
 
-def save_publication(result: AnonymizationResult, prefix: PublicationDest) -> None:
-    """Write the publishable triple (plus cost metadata) under *prefix*.
+def publication_texts(
+    graph: Graph,
+    partition: Partition,
+    original_n: int,
+    extra: dict | None = None,
+) -> tuple[str, str, str]:
+    """The (edges, partition, meta) texts of a (G', V', n) triple."""
+    if not partition.covers(graph.vertices()):
+        raise ReproError("partition does not cover the graph; refusing to publish")
+    edges = io.StringIO()
+    write_edge_list(graph, edges)
+    return edges.getvalue(), cell_text(partition.cells), meta_text(original_n, extra)
 
-    *prefix* is a filesystem path prefix (producing ``<prefix>.edges`` /
-    ``.partition`` / ``.meta``) or a :class:`PublicationBuffers` triple.
-    """
+
+def save_publication(result: AnonymizationResult, prefix: PathLike) -> None:
+    """Write the publishable triple (plus cost metadata) under *prefix*."""
     save_publication_triple(
         result.graph, result.partition, result.original_n, prefix,
         extra={
@@ -110,42 +90,22 @@ def save_publication(result: AnonymizationResult, prefix: PublicationDest) -> No
     )
 
 
-def _write_partition_lines(partition: Partition, handle: io.TextIOBase) -> None:
-    for cell in partition.cells:
-        handle.write(" ".join(str(v) for v in cell) + "\n")
-
-
-def _write_meta(meta: dict, handle: io.TextIOBase) -> None:
-    json.dump(meta, handle, indent=2)
-    handle.write("\n")
-
-
 def save_publication_triple(
     graph: Graph,
     partition: Partition,
     original_n: int,
-    prefix: PublicationDest,
+    prefix: PathLike,
     extra: dict | None = None,
 ) -> None:
-    """Write an arbitrary (G', V', n) triple under *prefix* (path or buffers)."""
-    if not partition.covers(graph.vertices()):
-        raise ReproError("partition does not cover the graph; refusing to publish")
-    meta = {"original_n": original_n}
-    meta.update(extra or {})
-    if isinstance(prefix, PublicationBuffers):
-        write_edge_list(graph, prefix.edges)
-        _write_partition_lines(partition, prefix.partition)
-        _write_meta(meta, prefix.meta)
-        return
+    """Write an arbitrary (G', V', n) triple to ``<prefix>.edges`` & co."""
+    texts = publication_texts(graph, partition, original_n, extra)
     prefix = os.fspath(prefix)
-    write_edge_list(graph, f"{prefix}.edges")
-    with open(f"{prefix}.partition", "w", encoding="utf-8") as handle:
-        _write_partition_lines(partition, handle)
-    with open(f"{prefix}.meta", "w", encoding="utf-8") as handle:
-        _write_meta(meta, handle)
+    for suffix, text in zip(_SUFFIXES, texts):
+        with open(prefix + suffix, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
-def _parse_partition_lines(lines, where: str) -> Partition:
+def _parse_partition_lines(lines: Iterable[str]) -> Partition:
     cells: list[list[int]] = []
     seen: dict[int, int] = {}  # vertex -> line that first claimed it
     for lineno, line in enumerate(lines, start=1):
@@ -160,12 +120,12 @@ def _parse_partition_lines(lines, where: str) -> Partition:
                 vertex = int(token)
             except ValueError as exc:
                 raise PublicationFormatError(
-                    f"{where} line {lineno}: non-integer vertex {token!r}"
+                    f".partition line {lineno}: non-integer vertex {token!r}"
                 ) from exc
             claimed = seen.setdefault(vertex, lineno)
             if claimed != lineno or vertex in cell:
                 raise PublicationFormatError(
-                    f"{where} line {lineno}: vertex {vertex} already appears "
+                    f".partition line {lineno}: vertex {vertex} already appears "
                     f"in the cell on line {claimed} — cells must be disjoint"
                 )
             cell.append(vertex)
@@ -173,39 +133,37 @@ def _parse_partition_lines(lines, where: str) -> Partition:
     return Partition(cells)
 
 
-def load_publication(prefix: PublicationDest) -> tuple[Graph, Partition, int]:
-    """Load a triple written by :func:`save_publication`; validated.
-
-    Accepts a filesystem prefix or a :class:`PublicationBuffers` triple
-    (rewound before reading, so buffers just filled by
-    :func:`save_publication` load directly).
-    """
-    if isinstance(prefix, PublicationBuffers):
-        prefix.rewind()
-        graph = read_edge_list(prefix.edges)
-        partition = _parse_partition_lines(prefix.partition, "<buffer>.partition")
-        meta = json.load(prefix.meta)
-        where = "<buffers>"
-    else:
-        prefix = os.fspath(prefix)
-        graph = read_edge_list(f"{prefix}.edges")
-        with open(f"{prefix}.partition", encoding="utf-8") as handle:
-            partition = _parse_partition_lines(handle, f"{prefix}.partition")
-        with open(f"{prefix}.meta", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        where = repr(prefix)
-    if not partition.covers(graph.vertices()):
-        raise ReproError(
-            f"publication {where} is inconsistent: the partition does not "
-            "cover the published graph"
-        )
+def parse_publication(edges: str, partition: str, meta: str) -> tuple[Graph, Partition, int]:
+    """Load the (edges, partition, meta) texts of a triple; validated."""
+    graph = read_edge_list(io.StringIO(edges))
+    cells = _parse_partition_lines(io.StringIO(partition))
     try:
-        original_n = int(meta["original_n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError(f"publication {where} has no valid original_n") from exc
+        fields = json.loads(meta)
+    except json.JSONDecodeError as exc:
+        raise PublicationFormatError(f".meta is not JSON: {exc}") from exc
+    if not cells.covers(graph.vertices()):
+        raise ReproError(
+            "publication is inconsistent: the partition does not cover the "
+            "published graph"
+        )
+    original_n = fields.get("original_n") if isinstance(fields, dict) else None
+    # bool is an int subclass; 3.9 and "3" are not JSON integers either
+    if isinstance(original_n, bool) or not isinstance(original_n, int):
+        raise ReproError(
+            f"publication has no valid original_n (a JSON integer): {original_n!r}")
     if original_n < 1 or original_n > graph.n:
         raise ReproError(
-            f"publication {where}: original_n={original_n} impossible for a "
+            f"publication original_n={original_n} impossible for a "
             f"{graph.n}-vertex insertion-only publication"
         )
-    return graph, partition, original_n
+    return graph, cells, original_n
+
+
+def load_publication(prefix: PathLike) -> tuple[Graph, Partition, int]:
+    """Read ``<prefix>.edges`` & co and :func:`parse_publication` them."""
+    prefix = os.fspath(prefix)
+    texts = []
+    for suffix in _SUFFIXES:
+        with open(prefix + suffix, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    return parse_publication(*texts)

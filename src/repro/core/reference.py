@@ -364,7 +364,7 @@ def reference_pipeline(
         _sample_artifact,
         _sample_rng,
     )
-    from repro.core.publication import PublicationBuffers, save_publication_triple
+    from repro.core.publication import publication_texts
     from repro.runtime import Stopwatch
 
     report, partition = _begin(graph, k, partition, method, copy_unit, seed)
@@ -384,12 +384,11 @@ def reference_pipeline(
         "vertices_added": published_graph.n - graph.n,
         "edges_added": published_graph.m - graph.m,
     }
-    buffers = PublicationBuffers.in_memory()
-    save_publication_triple(
-        published_graph, published_partition, graph.n, buffers, extra=extra)
+    texts = publication_texts(
+        published_graph, published_partition, graph.n, extra=extra)
     report.record("publish", watch)
     report.artifacts["publication"] = _publication_artifact(
-        published_graph.n, published_graph.m, buffers.texts())
+        published_graph.n, published_graph.m, texts)
 
     watch = Stopwatch()
     backbone_result = reference_backbone(published_graph, published_partition)

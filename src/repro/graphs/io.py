@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import io
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, Vertex
 from repro.utils.validation import GraphStructureError
 
 PathLike = str | os.PathLike
@@ -61,21 +61,29 @@ def _read_edge_lines(lines: Iterable[str]) -> Graph:
     return g
 
 
+def edge_list_lines(
+    n: int, m: int, isolated: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]],
+) -> Iterator[str]:
+    """The one writer of the format: the size header, the ``# isolated:``
+    line (when there are any, in the order given), one line per edge (in
+    the order given; callers sort)."""
+    yield f"# undirected simple graph: {n} vertices, {m} edges\n"
+    tokens = [str(v) for v in isolated]
+    if tokens:
+        yield "# isolated: " + " ".join(tokens) + "\n"
+    for u, v in edges:
+        yield f"{u} {v}\n"
+
+
 def write_edge_list(graph: Graph, path_or_file: PathLike | io.TextIOBase) -> None:
     """Write *graph* as an edge list (isolated vertices recorded in a header comment)."""
+    isolated = [v for v in graph.vertices() if graph.degree(v) == 0]
+    text = "".join(edge_list_lines(graph.n, graph.m, isolated, graph.sorted_edges()))
     if isinstance(path_or_file, io.TextIOBase):
-        _write_edge_lines(graph, path_or_file)
+        path_or_file.write(text)
         return
     with open(path_or_file, "w", encoding="utf-8") as handle:
-        _write_edge_lines(graph, handle)
-
-
-def _write_edge_lines(graph: Graph, handle: io.TextIOBase) -> None:
-    handle.write(f"# undirected simple graph: {graph.n} vertices, {graph.m} edges\n")
-    isolated = [v for v in graph.vertices() if graph.degree(v) == 0]
-    if isolated:
-        handle.write("# isolated: " + " ".join(str(v) for v in isolated) + "\n")
-    handle.write("".join(f"{u} {v}\n" for u, v in graph.sorted_edges()))
+        handle.write(text)
 
 
 def read_adjacency(path_or_file: PathLike | io.TextIOBase) -> Graph:

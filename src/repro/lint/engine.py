@@ -84,6 +84,7 @@ class LintConfig:
     #: publication writers — identity or secrets reaching these is a leak
     publication_sinks: tuple[str, ...] = (
         "repro.arraycore.publication.publication_texts_from_arrays",
+        "repro.core.publication.publication_texts",
         "repro.core.publication.save_publication",
         "repro.core.publication.save_publication_triple",
     )

@@ -15,7 +15,9 @@ Execution is split exactly along the daemon's process boundary:
   ids (:meth:`repro.service.canon.CanonicalInput.map_back`) and render the
   NDJSON/JSON payloads. They are pure functions of (request, artifact), so
   response bytes do not depend on which tenant warmed the cache, on arrival
-  order, or on worker count.
+  order, or on worker count. Texts are rendered straight from the
+  artifact through the publication format's one writer (``edge_list_lines``,
+  ``cell_text``, ``meta_text``); no graph is built on the loop.
 
 Cache keys (content addressing):
 
@@ -42,17 +44,17 @@ exactly like the sample endpoint threads it through the samplers.
 from __future__ import annotations
 
 import hashlib
-import io
+from collections.abc import Iterable, Sequence
 
 from repro.attacks.adjacency import kl_anonymity_report, kl_candidate_set
 from repro.attacks.reidentify import simulate_attack
 from repro.attacks.sybil import sybil_attack
 from repro.core.anonymize import anonymize
-from repro.core.publication import PublicationBuffers, save_publication_triple
+from repro.core.publication import cell_text, meta_text
 from repro.core.republish import GraphDelta, republish_published
 from repro.core.sampling import sample_many
 from repro.graphs.graph import Graph
-from repro.graphs.io import write_edge_list
+from repro.graphs.io import edge_list_lines
 from repro.graphs.partition import Partition
 from repro.service.canon import CanonicalInput, canonicalize
 from repro.service.protocol import (
@@ -62,6 +64,7 @@ from repro.service.protocol import (
     RepublishRequest,
     SampleRequest,
 )
+from repro.utils.validation import ReproError
 
 #: edge lines per streamed NDJSON chunk of a publication body
 EDGE_CHUNK_LINES = 500
@@ -387,34 +390,42 @@ def audit_spec(ci: CanonicalInput, request: AuditRequest, seed: int) -> dict:
 # response rendering (event loop; pure in (request, artifact))
 # ---------------------------------------------------------------------------
 
-def _chunked_text(lines_text: str, per_chunk: int) -> list[str]:
-    lines = lines_text.splitlines(keepends=True)
-    return ["".join(lines[i:i + per_chunk])
-            for i in range(0, len(lines), per_chunk)] or [""]
+def _relabeled_edge_lines(edges: Iterable[Sequence[int]], vertex_ids: Sequence[int],
+                          mapping: dict[int, int]) -> list[str]:
+    """What ``write_edge_list`` writes for ``Graph.from_edges`` of the
+    artifact relabeled through *mapping* (isolated in *vertex_ids* order)."""
+    touched: set[int] = set()
+    pairs = []
+    for u, v in edges:
+        touched.add(u)
+        touched.add(v)
+        a, b = mapping[u], mapping[v]
+        pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    isolated = [mapping[w] for w in vertex_ids if w not in touched]
+    return list(edge_list_lines(len(vertex_ids), len(pairs), isolated, pairs))
 
 
 def _publication_lines(ci: CanonicalInput, artifact: dict,
                        mapping: dict[int, int], extra: dict) -> list[dict]:
     """NDJSON events of a publication artifact relabeled through *mapping*:
     ``meta`` (with *extra*), ``partition``, the ``edges`` chunks, ``end``."""
-    graph = Graph.from_edges(
-        ((mapping[u], mapping[v]) for u, v in artifact["edges"]),
-        vertices=(mapping[w] for w in artifact["vertex_ids"]))
-    partition = Partition(
-        [sorted(mapping[w] for w in cell) for cell in artifact["cells"]])
-    buffers = PublicationBuffers.in_memory()
-    save_publication_triple(graph, partition, artifact["original_n"], buffers,
-                            extra=extra)
-    edges_text, partition_text, meta_text = buffers.texts()
+    vertex_ids = artifact["vertex_ids"]
+    if sorted(w for cell in artifact["cells"] for w in cell) != sorted(vertex_ids):
+        raise ReproError("partition does not cover the graph; refusing to publish")
+    # Partition order: members ascending, cells by their smallest member
+    cells = sorted(sorted(mapping[w] for w in cell) for cell in artifact["cells"])
+    edge_lines = _relabeled_edge_lines(artifact["edges"], vertex_ids, mapping)
     lines: list[dict] = [{
         "digest": ci.digest,
         "event": "meta",
-        "text": meta_text,
+        "text": meta_text(artifact["original_n"], extra),
     }, {
         "event": "partition",
-        "text": partition_text,
+        "text": cell_text(cells),
     }]
-    chunks = _chunked_text(edges_text, EDGE_CHUNK_LINES)
+    chunks = ["".join(edge_lines[i:i + EDGE_CHUNK_LINES])
+              for i in range(0, len(edge_lines), EDGE_CHUNK_LINES)]
     for index, chunk in enumerate(chunks):
         lines.append({"chunk": index, "chunks": len(chunks),
                       "event": "edges", "text": chunk})
@@ -478,8 +489,14 @@ def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
 
 
 def build_sample_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
-    """NDJSON payload of a sample response: one line per sample graph."""
-    mapping = ci.map_back(list(artifact["published_vertex_ids"]))
+    """NDJSON payload of a sample response: one line per sample graph.
+
+    Ids map as in the publish response; an exact sample's regrown copies
+    past the published graph get fresh ids after the response's copies.
+    """
+    ids = set(artifact["published_vertex_ids"]).union(
+        *(sample["vertices"] for sample in artifact["samples"]))
+    mapping = ci.map_back(sorted(ids))
     lines: list[dict] = [{
         "count": artifact["count"],
         "digest": ci.digest,
@@ -487,13 +504,9 @@ def build_sample_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
         "strategy": artifact["strategy"],
     }]
     for index, sample in enumerate(artifact["samples"]):
-        graph = Graph.from_edges(
-            ((mapping[u], mapping[v]) for u, v in sample["edges"]),
-            vertices=(mapping[w] for w in sample["vertices"]))
-        buffer = io.StringIO()
-        write_edge_list(graph, buffer)
-        lines.append({"event": "sample", "index": index,
-                      "text": buffer.getvalue()})
+        text = "".join(
+            _relabeled_edge_lines(sample["edges"], sample["vertices"], mapping))
+        lines.append({"event": "sample", "index": index, "text": text})
     lines.append({"event": "end", "lines": len(lines) + 1})
     return lines
 

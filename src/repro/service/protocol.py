@@ -16,6 +16,9 @@ Endpoint-specific fields are validated here into frozen request dataclasses;
 anything malformed raises :class:`ProtocolError`, which the daemon maps to a
 400 response. Validation is strict by design — the daemon is a publication
 surface, and a silently-defaulted parameter would change what gets released.
+So a field the endpoint (audit model, republish ``delta``) does not read is
+rejected by name — except ``engine`` on ``/v1/republish``, which older
+clients send and which never changed the released bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +52,20 @@ _STRATEGIES = ("approximate", "exact")
 
 #: attack models /v1/attack-audit accepts (hierarchy is the legacy default)
 ATTACK_MODELS = ("hierarchy", "adjacency", "multiset", "sybil")
+
+#: the fields each request shape reads; any other field is a 400
+_COMMON_FIELDS = frozenset({"async", "edges", "seed", "tenant"})
+_PUBLISH_FIELDS = _COMMON_FIELDS | {"copy_unit", "k", "method"}
+_SAMPLE_FIELDS = _PUBLISH_FIELDS | {"count", "strategy"}
+_REPUBLISH_FIELDS = _PUBLISH_FIELDS | {"delta", "engine"}  # engine: ignored
+_DELTA_FIELDS = frozenset({"add_edges", "add_vertices"})
+_KL_FIELDS = _COMMON_FIELDS | {"attackers", "ell", "model", "target"}
+_AUDIT_FIELDS = {
+    "hierarchy": _COMMON_FIELDS | {"measure", "model", "target"},
+    "adjacency": _KL_FIELDS,
+    "multiset": _KL_FIELDS,
+    "sybil": _COMMON_FIELDS | {"k", "model", "sybils", "targets"},
+}
 
 
 class ProtocolError(Exception):
@@ -210,8 +227,15 @@ def _ensure_dict(payload: object) -> dict:
     return payload
 
 
+def _known_fields(obj: dict, allowed: frozenset[str], where: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ProtocolError(f"unknown field(s) {unknown} {where}")
+
+
 def parse_publish(payload: object) -> PublishRequest:
     obj = _ensure_dict(payload)
+    _known_fields(obj, _PUBLISH_FIELDS, "for /v1/publish")
     tenant, seed, run_async = _common(obj)
     return PublishRequest(tenant=tenant, seed=seed, run_async=run_async,
                           edges_text=_edges_text(obj), params=_publish_params(obj))
@@ -219,6 +243,7 @@ def parse_publish(payload: object) -> PublishRequest:
 
 def parse_sample(payload: object) -> SampleRequest:
     obj = _ensure_dict(payload)
+    _known_fields(obj, _SAMPLE_FIELDS, "for /v1/sample")
     tenant, seed, run_async = _common(obj)
     count = _expect(obj, "count", int, 1)
     if not 1 <= count <= MAX_SAMPLES:
@@ -230,14 +255,6 @@ def parse_sample(payload: object) -> SampleRequest:
     return SampleRequest(tenant=tenant, seed=seed, run_async=run_async,
                          edges_text=_edges_text(obj), params=_publish_params(obj),
                          count=count, strategy=strategy)
-
-
-def _forbid(obj: dict, model: str, *keys: str) -> None:
-    """Strictness: fields another model would read must not ride along."""
-    for key in keys:
-        if key in obj:
-            raise ProtocolError(
-                f"field {key!r} does not apply to model {model!r}")
 
 
 def _vertex_list(obj: dict, key: str, cap: int) -> tuple[int, ...]:
@@ -262,6 +279,7 @@ def parse_audit(payload: object) -> AuditRequest:
     if model not in ATTACK_MODELS:
         raise ProtocolError(
             f"model must be one of {ATTACK_MODELS}, got {model!r}")
+    _known_fields(obj, _AUDIT_FIELDS[model], f"for model {model!r}")
     target: int | None = None
     measure = "combined"
     ell = 1
@@ -270,14 +288,12 @@ def parse_audit(payload: object) -> AuditRequest:
     sybils = 0
     k = 2
     if model == "hierarchy":
-        _forbid(obj, model, "ell", "attackers", "targets", "sybils", "k")
         target = _expect(obj, "target", int)
         measure = _expect(obj, "measure", str, "combined")
         if measure not in MEASURES:
             raise ProtocolError(
                 f"measure must be one of {sorted(MEASURES)}, got {measure!r}")
     elif model in ("adjacency", "multiset"):
-        _forbid(obj, model, "measure", "targets", "sybils", "k")
         if "attackers" in obj:
             attackers = _vertex_list(obj, "attackers", MAX_ELL)
             target = _expect(obj, "target", int)
@@ -296,7 +312,6 @@ def parse_audit(payload: object) -> AuditRequest:
             if not 1 <= ell <= MAX_ELL:
                 raise ProtocolError(f"ell must be in 1..{MAX_ELL}, got {ell}")
     else:  # sybil
-        _forbid(obj, model, "measure", "ell", "attackers", "target")
         targets = _vertex_list(obj, "targets", MAX_SYBIL_TARGETS)
         sybils = _expect(obj, "sybils", int, 0)
         if sybils and not 2 <= sybils <= MAX_SYBILS:
@@ -346,8 +361,10 @@ def validate_audit_graph(request: AuditRequest, graph: Graph) -> None:
 
 def parse_republish(payload: object) -> RepublishRequest:
     obj = _ensure_dict(payload)
+    _known_fields(obj, _REPUBLISH_FIELDS, "for /v1/republish")
     tenant, seed, run_async = _common(obj)
     delta_obj = _expect(obj, "delta", dict)
+    _known_fields(delta_obj, _DELTA_FIELDS, "in 'delta'")
     vertices = delta_obj.get("add_vertices", [])
     edges = delta_obj.get("add_edges", [])
     if not isinstance(vertices, list) or not isinstance(edges, list):

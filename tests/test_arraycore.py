@@ -28,12 +28,7 @@ from repro.core.anonymize import anonymize
 from repro.core.backbone import backbone
 from repro.core.fsymmetry import anonymize_f, hub_exclusion_by_degree
 from repro.core.orbit_copy import MutablePartitionedGraph
-from repro.core.publication import (
-    PublicationBuffers,
-    load_publication,
-    save_publication,
-    save_publication_triple,
-)
+from repro.core.publication import parse_publication, publication_texts
 from repro.core.reference import (
     reference_anonymize_cells,
     reference_backbone,
@@ -341,12 +336,10 @@ class TestArrayPartitionedGraph:
 class TestBackboneArrays:
     @pytest.mark.parametrize("builder", [_ba, _ws])
     def test_matches_dict_backbone_on_published_pair(self, builder):
-        # Read back through load_publication: the loaded graph's insertion
+        # Read back through parse_publication: the loaded graph's insertion
         # order is the edge file's, so array_space has to reorder its rows.
         result = anonymize(builder(), 2, method="stabilization")
-        buffers = PublicationBuffers.in_memory()
-        save_publication(result, buffers)
-        graph, partition, _ = load_publication(buffers)
+        graph, partition, _ = parse_publication(*publication_texts(*result.published()))
         assert graph.vertices() != graph.sorted_vertices()
         oracle = reference_backbone(graph, partition)
         indptr, indices, labels = array_space(graph)
@@ -360,15 +353,12 @@ class TestPublicationArrays:
     def test_texts_byte_identical_to_dict_writer(self):
         result = anonymize(_ws(), 2, method="stabilization")
         extra = {"k": 2}
-        buffers = PublicationBuffers.in_memory()
-        save_publication_triple(result.graph, result.partition,
-                                result.original_n, buffers, extra=extra)
         csr = result.graph.csr()
         texts = publication_texts_from_arrays(
             csr.indptr, csr.indices, result.partition.cells,
             result.original_n, extra=extra,
         )
-        assert texts == buffers.texts()
+        assert texts == publication_texts(*result.published(), extra=extra)
 
 
 class TestPipeline:

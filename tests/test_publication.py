@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.anonymize import anonymize
 from repro.core.publication import (
-    PublicationBuffers,
     PublicationFormatError,
     load_publication,
+    parse_publication,
+    publication_texts,
     save_publication,
     save_publication_triple,
 )
@@ -102,33 +103,39 @@ class TestValidation:
         with pytest.raises(ReproError):
             load_publication(prefix)
 
+    @pytest.mark.parametrize("value", ["3.9", "true", '"3"'])
+    def test_non_integer_original_n_rejected(self, value):
+        """A hand-edited meta must not load as int(value): the samplers
+        would draw samples of the wrong size."""
+        edges, partition, _ = publication_texts(*anonymize(figure3_graph(), 2).published())
+        with pytest.raises(ReproError, match="original_n"):
+            parse_publication(edges, partition, f'{{"original_n": {value}}}\n')
+
+    def test_meta_that_is_not_json_rejected(self):
+        edges, partition, meta = publication_texts(*anonymize(figure3_graph(), 2).published())
+        with pytest.raises(PublicationFormatError, match="meta"):
+            parse_publication(edges, partition, meta[:-3])
+
 
 class TestPartitionParsing:
     """Hardening of the .partition text format (CRLF, blanks, duplicates)."""
 
     @staticmethod
     def _saved_texts(k: int = 2) -> tuple[str, str, str]:
-        result = anonymize(figure3_graph(), k)
-        buffers = PublicationBuffers.in_memory()
-        save_publication(result, buffers)
-        return buffers.texts()
+        return publication_texts(*anonymize(figure3_graph(), k).published())
 
     def test_crlf_partition_round_trips(self):
         edges, partition, meta = self._saved_texts()
         crlf = partition.replace("\n", "\r\n")
-        graph, cells, n = load_publication(
-            PublicationBuffers.from_texts(edges, crlf, meta))
-        baseline = load_publication(
-            PublicationBuffers.from_texts(edges, partition, meta))
+        graph, cells, n = parse_publication(edges, crlf, meta)
+        baseline = parse_publication(edges, partition, meta)
         assert (graph, cells, n) == baseline
 
     def test_trailing_blank_lines_tolerated(self):
         edges, partition, meta = self._saved_texts()
         padded = partition + "\n  \n\r\n"
-        graph, cells, n = load_publication(
-            PublicationBuffers.from_texts(edges, padded, meta))
-        baseline = load_publication(
-            PublicationBuffers.from_texts(edges, partition, meta))
+        graph, cells, n = parse_publication(edges, padded, meta)
+        baseline = parse_publication(edges, partition, meta)
         assert (graph, cells, n) == baseline
 
     def test_duplicate_vertex_across_blocks_names_both_lines(self):
@@ -138,8 +145,7 @@ class TestPartitionParsing:
         dup = lines[0].split()[0]
         corrupted = "\n".join(lines[:-1] + [lines[-1] + f" {dup}"]) + "\n"
         with pytest.raises(PublicationFormatError) as info:
-            load_publication(
-                PublicationBuffers.from_texts(edges, corrupted, meta))
+            parse_publication(edges, corrupted, meta)
         message = str(info.value)
         assert f"vertex {dup}" in message
         assert "line 1" in message
@@ -148,8 +154,7 @@ class TestPartitionParsing:
     def test_duplicate_vertex_within_a_line_rejected(self):
         edges, _, meta = self._saved_texts()
         with pytest.raises(PublicationFormatError) as info:
-            load_publication(
-                PublicationBuffers.from_texts(edges, "0 1 1\n", meta))
+            parse_publication(edges, "0 1 1\n", meta)
         assert "line 1" in str(info.value)
         assert "vertex 1" in str(info.value)
 
@@ -158,8 +163,7 @@ class TestPartitionParsing:
         corrupted = partition + "alice bob\n"
         lineno = partition.count("\n") + 1
         with pytest.raises(PublicationFormatError) as info:
-            load_publication(
-                PublicationBuffers.from_texts(edges, corrupted, meta))
+            parse_publication(edges, corrupted, meta)
         assert f"line {lineno}" in str(info.value)
         assert "'alice'" in str(info.value)
 
@@ -169,56 +173,30 @@ class TestPartitionParsing:
 
 
 class TestBuffers:
-    """In-memory destinations mirror the on-disk format byte for byte."""
+    """In-memory publications: the texts mirror the on-disk format byte for byte."""
 
     def test_buffer_roundtrip(self):
-        from repro.core.publication import PublicationBuffers
-
         result = anonymize(figure3_graph(), 3)
-        buffers = PublicationBuffers.in_memory()
-        save_publication(result, buffers)
-        graph, partition, n = load_publication(buffers)
+        graph, partition, n = parse_publication(*publication_texts(*result.published()))
         assert graph == result.graph
         assert partition == result.partition
         assert n == result.original_n
 
     def test_buffer_bytes_match_files(self, tmp_path):
-        from repro.core.publication import PublicationBuffers
-
         result = anonymize(figure3_graph(), 2)
         prefix = tmp_path / "pub"
-        save_publication(result, prefix)
-        buffers = PublicationBuffers.in_memory()
-        save_publication(result, buffers)
-        edges, partition, meta = buffers.texts()
+        extra = {"k": 2}
+        save_publication_triple(*result.published(), prefix, extra=extra)
+        edges, partition, meta = publication_texts(*result.published(), extra=extra)
         assert edges == open(f"{prefix}.edges").read()
         assert partition == open(f"{prefix}.partition").read()
         assert meta == open(f"{prefix}.meta").read()
 
-    def test_from_texts_loads_without_rewinding_by_hand(self):
-        from repro.core.publication import PublicationBuffers
-
-        result = anonymize(figure3_graph(), 2)
-        saved = PublicationBuffers.in_memory()
-        save_publication(result, saved)
-        reloaded = PublicationBuffers.from_texts(*saved.texts())
-        graph, partition, n = load_publication(reloaded)
-        assert (graph, n) == (result.graph, result.original_n)
-        assert partition == result.partition
-
     def test_buffer_validation_matches_files(self):
-        from repro.core.publication import PublicationBuffers
-
-        buffers = PublicationBuffers.from_texts(
-            "0 1\n", "0 1\n", '{"original_n": 99}\n')
         with pytest.raises(ReproError):
-            load_publication(buffers)
+            parse_publication("0 1\n", "0 1\n", '{"original_n": 99}\n')
 
     def test_uncovering_partition_refused_for_buffers(self):
-        from repro.core.publication import PublicationBuffers
-
         result = anonymize(figure3_graph(), 2)
         with pytest.raises(ReproError):
-            save_publication_triple(
-                result.graph, Partition([[1]]), result.original_n,
-                PublicationBuffers.in_memory())
+            publication_texts(result.graph, Partition([[1]]), result.original_n)

@@ -7,6 +7,7 @@ deterministic pause/resume gate; the SIGTERM drain test boots a real
 """
 
 import asyncio
+import io
 import json
 import os
 import random
@@ -19,22 +20,29 @@ import time
 import pytest
 
 import repro
-from repro.core.publication import (
-    PublicationBuffers,
-    load_publication,
-    save_publication_triple,
-)
+from repro.core.publication import parse_publication, publication_texts
 from repro.core.reference import reference_republish
 from repro.core.republish import GraphDelta
 from repro.datasets.paper_graphs import figure3_graph
+from repro.graphs.graph import Graph
+from repro.graphs.io import read_edge_list, write_edge_list
+from repro.graphs.partition import Partition
 from repro.service import (
     KSymmetryDaemon,
     ServiceClient,
     ServiceConfig,
     ServiceError,
+    effective_seed,
     handlers,
     publication_from_lines,
 )
+from repro.service.protocol import (
+    parse_graph,
+    parse_publish,
+    parse_republish,
+    parse_sample,
+)
+from repro.utils.validation import ReproError
 
 
 def edges_text(graph) -> str:
@@ -123,8 +131,7 @@ class TestRoundTrips:
         assert all(e == "edges" for e in events[2:-1])
         assert lines[-1]["lines"] == len(lines)
         edges, partition, meta = publication_from_lines(lines)
-        graph, cells, original_n = load_publication(
-            PublicationBuffers.from_texts(edges, partition, meta))
+        graph, cells, original_n = parse_publication(edges, partition, meta)
         original = figure3_graph()
         assert original_n == original.n
         assert cells.min_cell_size() >= 2
@@ -271,6 +278,26 @@ class TestValidation:
             client.job("job-99999999")
         assert info.value.status == 404
 
+    @pytest.mark.parametrize("path, payload, field", [
+        ("/v1/publish", {"edges": FIG3, "K": 5}, "K"),
+        ("/v1/publish", {"edges": FIG3, "k": 3, "copyunit": "component"},
+         "copyunit"),
+        ("/v1/sample", {"edges": FIG3, "cuont": 3}, "cuont"),
+        ("/v1/attack-audit", {"edges": FIG3, "target": 1, "mesure": "degree"},
+         "mesure"),
+        ("/v1/republish", {"edges": FIG3, "K": 3,
+                           "delta": {"add_vertices": [1000]}}, "K"),
+        ("/v1/republish", {"edges": FIG3, "delta": {
+            "add_vertices": [1000], "add_edge": [[1000, 1]]}}, "add_edge"),
+    ])
+    def test_unknown_field_400(self, daemon, path, payload, field):
+        """A misspelled field would otherwise publish, sample or audit with
+        its default; the 400 names it."""
+        with daemon.client() as client:
+            status, _, body = client.request_raw("POST", path, payload)
+        assert status == 400, body
+        assert repr(field) in json.loads(body)["error"]
+
 
 def memo_stats(client: ServiceClient) -> dict:
     return client.metrics()["scheduler"]["canonical_memo"]
@@ -294,8 +321,7 @@ class TestIsomorphicCaching:
             assert memo_after["misses"] == memo_before["misses"] + 1
             assert memo_after["hits"] == memo_before["hits"]
             edges, partition, meta = publication_from_lines(lines)
-            graph, _, original_n = load_publication(
-                PublicationBuffers.from_texts(edges, partition, meta))
+            graph, _, original_n = parse_publication(edges, partition, meta)
             bob_ids = {3 * v + 100 for v in figure3_graph().vertices()}
             assert bob_ids <= set(graph.vertices())
             assert original_n == len(bob_ids)
@@ -431,8 +457,7 @@ class TestRepublishEndpoint:
 
     def _triple(self, lines):
         edges, partition, meta = publication_from_lines(lines)
-        graph, cells, original_n = load_publication(
-            PublicationBuffers.from_texts(edges, partition, meta))
+        graph, cells, original_n = parse_publication(edges, partition, meta)
         return graph, cells, original_n, json.loads(meta)
 
     def test_republish_composes_with_publish(self, daemon):
@@ -501,11 +526,9 @@ class TestRepublishEndpoint:
         graph, cells, original_n, _ = self._triple(release0)
         delta = GraphDelta([1000], [(1000, 1)])
         state = reference_republish(graph, cells, original_n, delta, 2)
-        oracle = PublicationBuffers.in_memory()
-        save_publication_triple(state.graph, state.to_partition(),
-                                original_n + delta.n_vertices, oracle)
+        oracle_edges, oracle_partition, _ = publication_texts(
+            state.graph, state.to_partition(), original_n + delta.n_vertices)
         edges, partition, meta = publication_from_lines(ours)
-        oracle_edges, oracle_partition, _ = oracle.texts()
         assert edges == oracle_edges
         assert partition == oracle_partition
         recorded = json.loads(meta)
@@ -583,6 +606,145 @@ class TestRepublishEndpoint:
                 status, _, body = client.request_raw(
                     "POST", "/v1/republish", payload)
                 assert status == 400, body
+
+
+def composed_graph(edges, vertices, mapping) -> Graph:
+    """``Graph.from_edges`` over an artifact relabeled through *mapping*."""
+    return Graph.from_edges(((mapping[u], mapping[v]) for u, v in edges),
+                            vertices=(mapping[w] for w in vertices))
+
+
+def composed_publication_lines(ci, artifact, mapping, extra) -> list[dict]:
+    """A publication body composed through ``Graph``, ``Partition`` and the
+    dict writer, chunked off the split edge text."""
+    graph = composed_graph(artifact["edges"], artifact["vertex_ids"], mapping)
+    partition = Partition(
+        [[mapping[w] for w in cell] for cell in artifact["cells"]])
+    edges, partition_text, meta_text = publication_texts(
+        graph, partition, artifact["original_n"], extra)
+    lines = edges.splitlines(keepends=True)
+    chunks = ["".join(lines[i:i + handlers.EDGE_CHUNK_LINES])
+              for i in range(0, len(lines), handlers.EDGE_CHUNK_LINES)]
+    body = [{"digest": ci.digest, "event": "meta", "text": meta_text},
+            {"event": "partition", "text": partition_text}]
+    body += [{"chunk": i, "chunks": len(chunks), "event": "edges", "text": chunk}
+             for i, chunk in enumerate(chunks)]
+    return body + [{"event": "end", "lines": len(body) + 1}]
+
+
+def publish_artifact(text, params):
+    """(canonical input, publish artifact) of *text*, computed in-process."""
+    ci = handlers.canonicalize(parse_graph(text))
+    request = parse_publish({"edges": text, **params})
+    status, artifact = handlers.execute_artifact(handlers.publish_spec(ci, request))
+    assert status == "ok", artifact
+    return ci, artifact
+
+
+class TestRendering:
+    def test_uncovering_artifact_is_refused(self):
+        """Cells that miss a vertex are never streamed; the daemon answers
+        the render error with a 500."""
+        ci, artifact = publish_artifact(PATH4, {"k": 2})
+        artifact["cells"] = artifact["cells"][1:]
+        with pytest.raises(ReproError, match="does not cover"):
+            handlers.build_publish_lines(ci, artifact)
+
+
+class TestIsolatedVertices:
+    """Bodies of graphs with isolated vertices, pinned against a composition
+    through ``Graph.from_edges`` and the dict writer: the ``# isolated:``
+    line lists the artifact's vertices in canonical order, in requester ids."""
+
+    OUT_OF_ORDER = "# isolated: 9 4 7\n0 1\n1 2\n2 0\n3 5\n5 6\n"
+    #: vertex 8 is a lone orbit: k=3 must copy it twice
+    LONE = "0 1\n1 2\n2 3\n# isolated: 8\n"
+    CASES = [
+        pytest.param(OUT_OF_ORDER, {"k": 2}, id="out-of-order"),
+        pytest.param(LONE, {"k": 3}, id="lone"),
+        pytest.param(OUT_OF_ORDER, {"k": 3, "copy_unit": "component"},
+                     id="out-of-order-component"),
+        pytest.param(LONE, {"k": 3, "copy_unit": "component"},
+                     id="lone-component"),
+    ]
+
+    @pytest.mark.parametrize("text, params", CASES)
+    def test_publish_body(self, daemon, text, params):
+        ci, artifact = publish_artifact(text, params)
+        expected = composed_publication_lines(
+            ci, artifact, ci.map_back(artifact["vertex_ids"]), {
+                "k": artifact["k"], "copy_unit": artifact["copy_unit"],
+                "vertices_added": artifact["vertices_added"],
+                "edges_added": artifact["edges_added"]})
+        with daemon.client() as client:
+            lines = client.publish(text, **params)
+        assert lines == expected
+        assert "# isolated: " in lines[2]["text"]
+
+    @pytest.mark.parametrize("strategy", ["approximate", "exact"])
+    @pytest.mark.parametrize("text, params", CASES)
+    def test_sample_body(self, daemon, text, params, strategy):
+        ci, _ = publish_artifact(text, params)
+        request = parse_sample({"edges": text, **params, "count": 3,
+                                "strategy": strategy, "seed": 4})
+        status, artifact = handlers.execute_artifact(handlers.sample_spec(
+            ci, request, effective_seed(request.tenant, 4), None))
+        assert status == "ok", artifact
+        sample = artifact["sample"]
+        mapping = ci.map_back(sorted(set(sample["published_vertex_ids"]).union(
+            *(s["vertices"] for s in sample["samples"]))))
+        expected = []
+        for drawn in sample["samples"]:
+            buffer = io.StringIO()
+            write_edge_list(
+                composed_graph(drawn["edges"], drawn["vertices"], mapping), buffer)
+            expected.append(buffer.getvalue())
+        with daemon.client() as client:
+            lines = client.sample(text, count=3, strategy=strategy, seed=4, **params)
+        assert [line["text"] for line in lines[1:-1]] == expected
+
+    @pytest.mark.parametrize("text, params", CASES)
+    def test_republish_body(self, daemon, text, params):
+        """Delta vertex 101 joins isolated; growth copies get fresh ids."""
+        ci, publish = publish_artifact(text, params)
+        delta = {"add_vertices": [100, 101], "add_edges": [[100, 0]]}
+        request = parse_republish({"edges": text, **params, "delta": delta})
+        status, artifact = handlers.execute_artifact(
+            handlers.republish_spec(ci, request, publish))
+        assert status == "ok", artifact
+        release = artifact["republish"]
+        # release-0 ids as in the publish response, the delta's own ids by
+        # rank, growth copies fresh above both
+        base, added = release["publish_n"], release["delta_count"]
+        mapping = ci.map_back([w for w in release["vertex_ids"] if w < base])
+        mapping.update({base + rank: v for rank, v in enumerate([100, 101])})
+        growth = sorted(w for w in release["vertex_ids"] if w >= base + added)
+        fresh = max(mapping.values()) + 1
+        mapping.update({w: fresh + rank for rank, w in enumerate(growth)})
+        expected = composed_publication_lines(ci, release, mapping, {
+            "k": release["k"], "copy_unit": release["copy_unit"],
+            "closure_edges": release["closure_edges"], "delta_vertices": added,
+            "vertices_added": release["vertices_added"],
+            "edges_added": release["edges_added"]})
+        with daemon.client() as client:
+            lines = client.republish(text, add_vertices=[100, 101],
+                                     add_edges=[[100, 0]], **params)
+        assert lines == expected
+        isolated = lines[2]["text"].splitlines()[1]
+        assert isolated.startswith("# isolated:") and "101" in isolated.split()
+
+    def test_exact_sample_regrown_past_the_publication(self, daemon):
+        """The exact sampler numbers its regrown copies past the published
+        graph: they get fresh ids above the publish response's, not a 500."""
+        with daemon.client() as client:
+            published, _, _ = parse_publication(*publication_from_lines(
+                client.publish(self.OUT_OF_ORDER, k=2)))
+            lines = client.sample(self.OUT_OF_ORDER, k=2, count=3,
+                                  strategy="exact", seed=4)
+        ids = set().union(*(read_edge_list(io.StringIO(line["text"])).vertices()
+                            for line in lines[1:-1]))
+        fresh = ids - set(published.vertices())
+        assert fresh and min(fresh) > max(published.vertices())
 
 
 def request_matrix() -> list[tuple[str, dict]]:
