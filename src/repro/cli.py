@@ -290,32 +290,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    # Delegates to the linter's own front end, which owns the exit-code
-    # contract (0 clean / 1 findings / 2 usage error) and eager validation;
-    # its usage errors must not collapse into this CLI's generic exit 1.
+def cmd_lint(argv: list[str]) -> int:
+    # The linter's own front end parses the raw arguments: its parser owns
+    # the flags, the exit-code contract (0 clean / 1 findings / 2 usage
+    # error) and eager validation, so usage errors keep exit 2.
     from repro.lint import main as lint_main
 
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    if args.prune_baseline:
-        argv.append("--prune-baseline")
-    if args.select:
-        argv += ["--select", args.select]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.list_rules:
-        argv.append("--list-rules")
     return lint_main(argv)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    # The service package is import-heavy (asyncio server, scheduler, cache);
-    # keep it off the hot path of every other subcommand.
     from repro.service import ServiceConfig, run
 
     config = ServiceConfig(
@@ -443,22 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="print singleton orbits too")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("lint",
+    # no flags of its own: main() hands everything after "lint" to the linter
+    p = sub.add_parser("lint", add_help=False,
                        help="AST-based determinism & invariant linter (alias "
                             "of 'python -m repro.lint')")
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="suppress findings fingerprinted in FILE")
-    p.add_argument("--write-baseline", metavar="FILE", default=None)
-    p.add_argument("--prune-baseline", action="store_true",
-                   help="rewrite --baseline without stale entries")
-    p.add_argument("--select", metavar="CODES", default=None,
-                   help="comma-separated rule codes to run")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="content-hash summary cache for warm runs")
-    p.add_argument("--list-rules", action="store_true")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("compare",
@@ -468,24 +440,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_compare)
 
+    # The daemon's config is the one source of the serve defaults.
+    from repro.service import ServiceConfig
+
+    defaults = ServiceConfig()
     p = sub.add_parser("serve",
                        help="run ksymmetryd, the anonymization-as-a-service "
                             "daemon (see docs/service.md)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8777,
+    p.add_argument("--host", default=defaults.host)
+    p.add_argument("--port", type=int, default=defaults.port,
                    help="TCP port (0 = ephemeral; the bound port is printed "
                         "on startup)")
     _add_jobs_flag(p)
-    p.add_argument("--cache-size", type=int, default=128, metavar="ENTRIES",
-                   help="artifact cache capacity (LRU)")
-    p.add_argument("--cache-spill-dir", default=None, metavar="DIR",
+    p.add_argument("--cache-size", type=int, default=defaults.cache_entries,
+                   metavar="ENTRIES", help="artifact cache capacity (LRU)")
+    p.add_argument("--cache-spill-dir", default=defaults.cache_spill_dir, metavar="DIR",
                    help="spill evicted artifacts to DIR and reload on miss")
-    p.add_argument("--max-queue", type=int, default=64,
+    p.add_argument("--max-queue", type=int, default=defaults.max_queue,
                    help="bounded scheduler queue; beyond it requests get "
                         "429 + Retry-After")
-    p.add_argument("--max-batch", type=int, default=16,
+    p.add_argument("--max-batch", type=int, default=defaults.max_batch,
                    help="requests coalesced per worker-pool dispatch")
-    p.add_argument("--request-timeout", type=float, default=300.0,
+    p.add_argument("--request-timeout", type=float, default=defaults.request_timeout,
                    metavar="SECONDS",
                    help="synchronous wait bound before 504 (the job keeps "
                         "running and stays pollable)")
@@ -495,7 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.func is cmd_lint:
+        return cmd_lint(rest)
+    if rest:
+        parser.error("unrecognized arguments: " + " ".join(rest))
     try:
         if getattr(args, "jobs", None) is not None:
             # Validate eagerly: batch-kernel paths never resolve jobs, and a

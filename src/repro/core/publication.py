@@ -15,8 +15,9 @@ The paper's publisher hands analysts three artefacts, in this format:
 strings to and from ``<prefix>.edges`` / ``.partition`` / ``.meta``. The
 array pipeline and ksymmetryd render through the same three helpers.
 
-Round-trips are exact. Loading validates that the partition covers the
-graph and that ``original_n`` is a possible JSON integer, so a corrupted
+Round-trips are exact. Loading validates that the edge list matches its
+size header (when it has one), that the partition covers the graph and
+that ``original_n`` is a possible JSON integer, so a corrupted or truncated
 triple fails fast instead of producing silent nonsense in the samplers. The
 partition parser tolerates CRLF line endings and trailing blank lines, and
 rejects non-integer tokens and duplicate vertex ids — including a vertex
@@ -29,6 +30,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from collections.abc import Iterable, Sequence
 
 from repro.core.anonymize import AnonymizationResult
@@ -41,6 +43,10 @@ PathLike = str | os.PathLike
 
 #: file suffixes of the triple, in (edges, partition, meta) order
 _SUFFIXES = (".edges", ".partition", ".meta")
+
+#: the size line :func:`repro.graphs.io.edge_list_lines` writes first
+_SIZE_HEADER = re.compile(
+    r"# undirected simple graph: (?P<n>\d+) vertices, (?P<m>\d+) edges\s*$", re.MULTILINE)
 
 
 class PublicationFormatError(ReproError, ValueError):
@@ -136,6 +142,12 @@ def _parse_partition_lines(lines: Iterable[str]) -> Partition:
 def parse_publication(edges: str, partition: str, meta: str) -> tuple[Graph, Partition, int]:
     """Load the (edges, partition, meta) texts of a triple; validated."""
     graph = read_edge_list(io.StringIO(edges))
+    header = _SIZE_HEADER.match(edges)
+    if header and (int(header["n"]), int(header["m"])) != (graph.n, graph.m):
+        raise PublicationFormatError(
+            f".edges header says {header['n']} vertices, {header['m']} edges "
+            f"but the list holds {graph.n} vertices, {graph.m} edges"
+        )
     cells = _parse_partition_lines(io.StringIO(partition))
     try:
         fields = json.loads(meta)

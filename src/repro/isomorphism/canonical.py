@@ -8,14 +8,15 @@ as a vertex color and reduce the problem to colored-graph isomorphism; a
 canonical *certificate* then lets us bucket t components into classes with t
 certificate computations instead of O(t²) pairwise tests.
 
-The canonical search shares the individualization–refinement machinery of
-:mod:`repro.isomorphism.search` but differs in its selection rule: at every
-tree node only the children with the lexicographically smallest refinement
-trace are explored (an isomorphism-invariant choice), and the certificate is
-the minimum edge relation over the explored leaves. Automorphisms discovered
-between equal leaves prune equivalent branches. Intended for the small
-graphs this library feeds it (cell components); the test-suite cross-checks
-it against the direct backtracking matcher in
+The canonical search runs on the one individualization–refinement core of
+:mod:`repro.isomorphism.search` (``_IRSearch``: leaf keys, generator store,
+twin collapse, prefix-fixing orbit pruning) and adds only its selection
+rule: at every tree node only the children with the lexicographically
+smallest refinement trace are explored (an isomorphism-invariant choice),
+and the certificate is the minimum edge relation over the explored leaves.
+Automorphisms discovered between equal leaves prune equivalent branches.
+Intended for the small graphs this library feeds it (cell components); the
+test-suite cross-checks it against the direct backtracking matcher in
 :mod:`repro.isomorphism.colored`.
 """
 
@@ -27,9 +28,8 @@ from collections.abc import Hashable
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.permutation import Permutation
 from repro.isomorphism.refinement import OrderedPartition
-from repro.utils.unionfind import UnionFind
+from repro.isomorphism.search import _IRSearch
 from repro.utils.validation import ReproError
 
 Vertex = Hashable
@@ -62,34 +62,22 @@ def _ordered_color_cells(graph: Graph, coloring: dict[Vertex, Hashable] | None):
     return cells, tuple(ordered_colors)
 
 
-class _CanonicalSearcher:
+class _CanonicalSearcher(_IRSearch):
+    """One canonical-labeling search over a graph and its color classes."""
+
     def __init__(self, graph: Graph, coloring: dict[Vertex, Hashable] | None) -> None:
-        self.graph = graph
         cells, self.ordered_colors = _ordered_color_cells(graph, coloring)
-        self.root = OrderedPartition(cells)
+        super().__init__(graph, OrderedPartition(cells))
         self.color_cell_sizes = tuple(len(c) for c in cells)
-        # Edge endpoints in slot space, gathered once; every leaf encoding is
-        # then two array gathers + one sort over packed min*n+max keys. The
-        # packing is order-preserving on sorted pair tuples (max < n), so
-        # lexicographic comparison of key arrays equals the seed's tuple
-        # comparison and the winning leaf is unchanged.
-        edges = graph.edges()
-        slot = self.root._slot
-        m = len(edges)
-        self._eu = np.fromiter((slot[u] for u, v in edges), dtype=np.int64, count=m)
-        self._ev = np.fromiter((slot[v] for u, v in edges), dtype=np.int64, count=m)
         self.best_keys: np.ndarray | None = None
         self.best_order: list[Vertex] | None = None
-        self.first_order: list[Vertex] | None = None
-        self.first_keys: bytes | None = None
-        self.generators: list[Permutation] = []
-        self.support_index: dict[Vertex, list[int]] = {}
-        self.base_set: set[Vertex] = set()
-        self._twin_seen: set[Permutation] = set()
 
     def run(self) -> tuple[Certificate, dict[Vertex, int]]:
-        self.root.refine(self.graph)
-        self._collapse_twins(self.root)
+        # Twin collapse is sound here: all orderings of a twin cell produce
+        # the *identical* leaf edge tuple (twins have equal neighbourhoods),
+        # so fixing one order loses no certificate candidates. Cells refine
+        # the color classes, so twins always share a color.
+        self._start()
         self._search(self.root)
         assert self.best_order is not None and self.best_keys is not None
         labeling = {v: i for i, v in enumerate(self.best_order)}
@@ -107,34 +95,6 @@ class _CanonicalSearcher:
         )
         return cert, labeling
 
-    def _collapse_twins(self, op: OrderedPartition) -> None:
-        """Discretize pairwise-twin cells wholesale (see search.py).
-
-        Sound for canonical labeling: all orderings of a twin cell produce
-        the *identical* leaf edge tuple (twins have equal neighbourhoods),
-        so fixing one order loses no certificate candidates; the emitted
-        transpositions feed the orbit pruning. Cells refine the color
-        classes, so twins always share a color.
-        """
-        from repro.isomorphism.search import collapse_twin_cells
-
-        twin_gens, _ = collapse_twin_cells(self.graph, op)
-        for gen in twin_gens:
-            if gen in self._twin_seen:
-                continue
-            self._twin_seen.add(gen)
-            gen_id = len(self.generators)
-            self.generators.append(gen)
-            for v in gen.support():
-                self.support_index.setdefault(v, []).append(gen_id)
-
-    def _leaf_keys(self, op: OrderedPartition) -> np.ndarray:
-        pu = op._pos[self._eu]
-        pv = op._pos[self._ev]
-        keys = np.minimum(pu, pv) * op.n + np.maximum(pu, pv)
-        keys.sort()
-        return keys
-
     @staticmethod
     def _keys_less(a: np.ndarray, b: np.ndarray) -> bool:
         """Lexicographic a < b for equal-length sorted key arrays."""
@@ -144,27 +104,13 @@ class _CanonicalSearcher:
         i = int(np.argmax(diff))
         return bool(a[i] < b[i])
 
-    def _process_leaf(self, op: OrderedPartition) -> None:
-        keys = self._leaf_keys(op)
-        if self.first_order is None:
-            self.first_order = list(op.order)
-            self.first_keys = keys.tobytes()
-        elif keys.tobytes() == self.first_keys:
-            mapping = {
-                a: b for a, b in zip(self.first_order, op.order) if a != b
-            }
-            if mapping:
-                gen_id = len(self.generators)
-                self.generators.append(Permutation(mapping))
-                for v in mapping:
-                    self.support_index.setdefault(v, []).append(gen_id)
-        if self.best_keys is None or self._keys_less(keys, self.best_keys):
-            self.best_keys = keys
-            self.best_order = list(op.order)
-
     def _search(self, op: OrderedPartition) -> None:
         if op.is_discrete():
-            self._process_leaf(op)
+            keys = self._leaf_keys(op)
+            self._match_first_leaf(op, keys.tobytes())
+            if self.best_keys is None or self._keys_less(keys, self.best_keys):
+                self.best_keys = keys
+                self.best_order = list(op.order)
             return
         target = op.smallest_nonsingleton()
         members = op.cell_members(target)
@@ -176,49 +122,11 @@ class _CanonicalSearcher:
             self._collapse_twins(child)
             children.append((trace, v, child))
         min_trace = min(child[0] for child in children)
+        in_tried_orbit = self._orbit_pruner(members)
         tried: list[Vertex] = []
-        # Same cell-restricted prefix-fixing orbit pruning as the group
-        # search (see repro.isomorphism.search): a qualifying generator maps
-        # this node's cells onto themselves, so only generators touching the
-        # target cell matter, and connecting members' images inside the cell
-        # suffices. Folded lazily; processed ids and per-member cursors make
-        # each (node, generator) pair O(|cell|) once.
-        local_orbits = UnionFind(members)
-        processed: set[int] = set()
-        cursors = {member: 0 for member in members}
-
-        def fold_relevant_generators() -> None:
-            for member in members:
-                if local_orbits.n_sets == 1:
-                    return
-                index_list = self.support_index.get(member)
-                if not index_list:
-                    continue
-                start = cursors[member]
-                cursors[member] = len(index_list)
-                for gen_id in index_list[start:]:
-                    if gen_id in processed:
-                        continue
-                    processed.add(gen_id)
-                    gen = self.generators[gen_id]
-                    if not gen.support().isdisjoint(self.base_set):
-                        continue
-                    for w in members:
-                        image = gen(w)
-                        if image != w:
-                            local_orbits.union(w, image)
-                    if local_orbits.n_sets == 1:
-                        return
-
         for trace, v, child in children:
-            if trace != min_trace:
+            if trace != min_trace or (tried and in_tried_orbit(v, tried)):
                 continue
-            if tried:
-                if any(local_orbits.connected(v, u) for u in tried):
-                    continue
-                fold_relevant_generators()
-                if any(local_orbits.connected(v, u) for u in tried):
-                    continue
             tried.append(v)
             self.base_set.add(v)
             self._search(child)

@@ -199,16 +199,3 @@ def extend_core_generator(decomp: PendantDecomposition, core_gen: Permutation) -
             _map_subtree(decomp, tree_a, tree_b, mapping)
     return Permutation(mapping)
 
-
-def pendant_orbit_seeds(decomp: PendantDecomposition) -> list[tuple[Vertex, Vertex]]:
-    """Extra orbit-union hints: (child, sibling) pairs already known equivalent.
-
-    Exactly the pairs the swap generators connect; exposed so orbit
-    computation can avoid materialising the swaps when only orbits matter.
-    """
-    pairs = []
-    for kids in decomp.children.values():
-        for left, right in zip(kids, kids[1:]):
-            if decomp.code[left] == decomp.code[right]:
-                pairs.append((left, right))
-    return pairs

@@ -3,8 +3,14 @@
 This is the from-scratch replacement for the subset of `nauty` the paper
 relies on: generators of Aut(G) and the automorphism partition Orb(G).
 
-The algorithm is McKay's scheme, specialised to group computation (no
-canonical labeling here — see :mod:`repro.isomorphism.canonical`):
+As in nauty, one individualization–refinement core serves both the group
+and the canonical labeling: :class:`_IRSearch` holds what the two searches
+share (slot-space leaf keys, the deduplicated generator store, twin-collapse
+recording, the first-leaf automorphism test and the prefix-fixing orbit
+pruning), :class:`_Searcher` adds the group search's policies below, and
+:mod:`repro.isomorphism.canonical` adds the canonical labeling's.
+
+The group search is McKay's scheme, specialised to group computation:
 
 1. Refine the initial partition to the coarsest equitable partition.
 2. *Twin collapse*: an equitable cell whose members all share the same
@@ -35,7 +41,7 @@ hundreds of small random and structured graphs.
 from __future__ import annotations
 
 import sys
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +79,6 @@ class AutomorphismSearchResult:
     orbits: Partition
     stats: SearchStats = field(default_factory=SearchStats)
 
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
-
 
 def collapse_twin_cells(graph: Graph, op: OrderedPartition) -> tuple[list[Permutation], int]:
     """Resolve fully-symmetric (pairwise-twin) cells of an equitable partition.
@@ -109,99 +111,89 @@ def collapse_twin_cells(graph: Graph, op: OrderedPartition) -> tuple[list[Permut
     return generators, collapsed
 
 
-class _Searcher:
-    """One automorphism-group search over a fixed graph and initial partition."""
+class _IRSearch:
+    """The individualization–refinement core both searches share.
 
-    def __init__(self, graph: Graph, initial: Partition | None, use_twin_collapse: bool) -> None:
+    Subclasses supply ``run`` and ``_search``, their branching policy:
+    :class:`_Searcher` prunes on the first path's traces and the full-group
+    orbits, :class:`repro.isomorphism.canonical._CanonicalSearcher` follows
+    the min-trace children and keeps the best leaf.
+    """
+
+    def __init__(self, graph: Graph, root: OrderedPartition) -> None:
         self.graph = graph
-        self.stats = SearchStats()
+        self.root = root
         self.generators: list[Permutation] = []
         self._generator_keys: set[Permutation] = set()
         # support_index[v] lists the ids of generators moving v; the per-node
         # orbit pruning only ever needs generators touching the target cell.
         self.support_index: dict[Vertex, list[int]] = {}
-        self.orbit_uf = UnionFind(graph.vertices())
+        self.base_set: set[Vertex] = set()
         self.first_leaf_order: list[Vertex] | None = None
         self.first_leaf_cert: bytes | None = None
-        self.first_path_traces: list[tuple[TraceEntry, ...]] = []
-        self.base_stack: list[Vertex] = []
-        self.base_set: set[Vertex] = set()
-        self.use_twin_collapse = use_twin_collapse
-
-        if initial is None:
-            self.root = OrderedPartition.unit(graph.vertices())
-        else:
-            if not initial.covers(graph.vertices()):
-                raise PartitionError("initial partition must cover exactly the graph's vertices")
-            self.root = OrderedPartition.from_partition(initial)
-
         # Edge endpoints translated once into the partition's slot space, so
         # every leaf certificate is two array gathers instead of a dict
         # lookup per endpoint (the dominant leaf cost on symmetric graphs).
         edges = graph.edges()
-        slot = self.root._slot
+        slot = root._slot
         m = len(edges)
         self._eu = np.fromiter((slot[u] for u, v in edges), dtype=np.int64, count=m)
         self._ev = np.fromiter((slot[v] for u, v in edges), dtype=np.int64, count=m)
 
-    # ------------------------------------------------------------------
-
-    def run(self) -> AutomorphismSearchResult:
+    def _start(self) -> None:
+        """Refine the root, collapse its twin cells, allow recursion to depth n."""
         self.root.refine(self.graph)
-        self._collapse(self.root)
-        if not self.root.is_discrete():
-            needed = 4 * self.root.n + 1000
-            if sys.getrecursionlimit() < needed:
-                sys.setrecursionlimit(needed)
-            self._search(self.root, 0)
-        orbits = Partition(self.orbit_uf.sets())
-        return AutomorphismSearchResult(self.generators, orbits, self.stats)
+        self._collapse_twins(self.root)
+        needed = 4 * self.root.n + 1000
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
 
-    def _collapse(self, op: OrderedPartition) -> None:
-        if not self.use_twin_collapse:
-            return
-        twin_gens, collapsed = collapse_twin_cells(self.graph, op)
-        self.stats.twin_cells_collapsed += collapsed
-        for gen in twin_gens:
-            self._record_generator(gen)
-
-    def _record_generator(self, perm: Permutation) -> None:
+    def _record_generator(self, perm: Permutation) -> bool:
+        """Store *perm* unless it is already known; True when it was new."""
         if perm in self._generator_keys:
-            return
+            return False
         self._generator_keys.add(perm)
         gen_id = len(self.generators)
         self.generators.append(perm)
-        self.stats.generators_found += 1
         for v in perm.support():
-            self.orbit_uf.union(v, perm(v))
             self.support_index.setdefault(v, []).append(gen_id)
+        return True
 
-    def _leaf_certificate(self, op: OrderedPartition) -> bytes:
+    def _collapse_twins(self, op: OrderedPartition) -> int:
+        """Discretize *op*'s twin cells and record their transpositions;
+        returns the number of cells collapsed."""
+        twin_gens, collapsed = collapse_twin_cells(self.graph, op)
+        for gen in twin_gens:
+            self._record_generator(gen)
+        return collapsed
+
+    def _leaf_keys(self, op: OrderedPartition) -> np.ndarray:
         """The leaf's edge set in position space, packed and sorted.
 
         Each edge becomes the composite key ``min_pos * n + max_pos``; the
         sorted key array is a canonical encoding of the relabeled edge set
-        (simple graph — no duplicate keys), so byte equality here is exactly
-        the frozenset-of-pairs equality of the seed implementation. Only
-        ever compared for equality against the first leaf, so the bytes are
-        never decoded back.
+        (simple graph — no duplicate keys). The packing is order-preserving
+        on sorted pair tuples (max < n), so comparing key arrays
+        lexicographically compares the relabeled edge tuples.
         """
         pu = op._pos[self._eu]
         pv = op._pos[self._ev]
         keys = np.minimum(pu, pv) * op.n + np.maximum(pu, pv)
         keys.sort()
-        return keys.tobytes()
+        return keys
 
-    def _process_leaf(self, op: OrderedPartition) -> None:
-        self.stats.leaves += 1
-        cert = self._leaf_certificate(op)
+    def _match_first_leaf(self, op: OrderedPartition, cert: bytes) -> bool:
+        """Compare a leaf with the first one; False when their edge sets differ.
+
+        The first leaf becomes the reference; a later leaf with the same
+        certificate yields the automorphism first-order -> this-order.
+        """
         if self.first_leaf_cert is None:
             self.first_leaf_order = list(op.order)
             self.first_leaf_cert = cert
-            return
+            return True
         if cert != self.first_leaf_cert:
-            self.stats.bad_leaves += 1
-            return
+            return False
         mapping = {
             first_v: this_v
             for first_v, this_v in zip(self.first_leaf_order, op.order)
@@ -209,23 +201,19 @@ class _Searcher:
         }
         if mapping:
             self._record_generator(Permutation(mapping))
+        return True
 
-    def _search(self, op: OrderedPartition, level: int) -> None:
-        self.stats.nodes += 1
-        if op.is_discrete():
-            self._process_leaf(op)
-            return
-        target = op.smallest_nonsingleton()
-        members = op.cell_members(target)
-        tried: list[Vertex] = []
-        # Orbits of the subgroup generated by discovered generators that fix
-        # the current branching prefix pointwise, restricted to what can
-        # affect the target cell: a prefix-fixing automorphism maps this
-        # node's partition onto itself cell-wise, so members of the target
-        # cell only ever map within the cell — only generators whose support
-        # touches the cell can connect them, and the support index finds
-        # those in time proportional to their number. Folded lazily per
-        # candidate because recursion keeps discovering generators.
+    def _orbit_pruner(self, members: list[Vertex]) -> Callable[[Vertex, list[Vertex]], bool]:
+        """A test whether a member of the target cell lies in a tried
+        sibling's orbit under the generators fixing the branching prefix.
+
+        A prefix-fixing automorphism maps this node's partition onto itself
+        cell-wise, so members of the target cell only ever map within the
+        cell — only generators whose support touches the cell can connect
+        them, and the support index finds those in time proportional to
+        their number. Folded lazily per candidate because recursion keeps
+        discovering generators.
+        """
         local_orbits = UnionFind(members)
         processed: set[int] = set()
         # Per-member cursor into its (append-only) support-index list, so
@@ -261,18 +249,72 @@ class _Searcher:
                     if local_orbits.n_sets == 1:
                         return
 
+        def in_tried_orbit(v: Vertex, tried: list[Vertex]) -> bool:
+            if any(local_orbits.connected(v, u) for u in tried):
+                return True
+            fold_relevant_generators()
+            return any(local_orbits.connected(v, u) for u in tried)
+
+        return in_tried_orbit
+
+
+class _Searcher(_IRSearch):
+    """One automorphism-group search over a fixed graph and initial partition."""
+
+    def __init__(self, graph: Graph, initial: Partition | None, use_twin_collapse: bool) -> None:
+        if initial is None:
+            root = OrderedPartition.unit(graph.vertices())
+        else:
+            if not initial.covers(graph.vertices()):
+                raise PartitionError("initial partition must cover exactly the graph's vertices")
+            root = OrderedPartition.from_partition(initial)
+        super().__init__(graph, root)
+        self.stats = SearchStats()
+        self.orbit_uf = UnionFind(graph.vertices())
+        self.first_path_traces: list[tuple[TraceEntry, ...]] = []
+        self.use_twin_collapse = use_twin_collapse
+
+    # ------------------------------------------------------------------
+
+    def run(self) -> AutomorphismSearchResult:
+        self._start()
+        if not self.root.is_discrete():
+            self._search(self.root, 0)
+        orbits = Partition(self.orbit_uf.sets())
+        return AutomorphismSearchResult(self.generators, orbits, self.stats)
+
+    def _collapse_twins(self, op: OrderedPartition) -> int:
+        if not self.use_twin_collapse:
+            return 0
+        collapsed = super()._collapse_twins(op)
+        self.stats.twin_cells_collapsed += collapsed
+        return collapsed
+
+    def _record_generator(self, perm: Permutation) -> bool:
+        if not super()._record_generator(perm):
+            return False
+        self.stats.generators_found += 1
+        for v in perm.support():
+            self.orbit_uf.union(v, perm(v))
+        return True
+
+    def _search(self, op: OrderedPartition, level: int) -> None:
+        self.stats.nodes += 1
+        if op.is_discrete():
+            self.stats.leaves += 1
+            if not self._match_first_leaf(op, self._leaf_keys(op).tobytes()):
+                self.stats.bad_leaves += 1
+            return
+        target = op.smallest_nonsingleton()
+        members = op.cell_members(target)
+        in_tried_orbit = self._orbit_pruner(members)
+        tried: list[Vertex] = []
         for v in members:
-            if tried:
-                # Cheap pre-filter: if v is not even in the same *full-group*
-                # orbit as a tried sibling, no subgroup can connect them.
-                if any(self.orbit_uf.connected(v, u) for u in tried):
-                    if any(local_orbits.connected(v, u) for u in tried):
-                        self.stats.orbit_prunes += 1
-                        continue
-                    fold_relevant_generators()
-                    if any(local_orbits.connected(v, u) for u in tried):
-                        self.stats.orbit_prunes += 1
-                        continue
+            # Cheap pre-filter: if v is not even in the same *full-group*
+            # orbit as a tried sibling, no subgroup can connect them.
+            if any(self.orbit_uf.connected(v, u) for u in tried) and in_tried_orbit(v, tried):
+                self.stats.orbit_prunes += 1
+                continue
             child = op.copy()
             child.individualize(v)
             trace = child.refine(self.graph, active=[target])
@@ -283,12 +325,10 @@ class _Searcher:
                 self.stats.trace_prunes += 1
                 tried.append(v)
                 continue
-            self._collapse(child)
+            self._collapse_twins(child)
             tried.append(v)
-            self.base_stack.append(v)
             self.base_set.add(v)
             self._search(child, level + 1)
-            self.base_stack.pop()
             self.base_set.discard(v)
 
 

@@ -12,7 +12,7 @@ The execution contract every caller in this library leans on:
   everything serially; the caller sees the same results either way, plus a
   :class:`~repro.runtime.stats.RunStats` explaining what happened.
 * **Bounded retries** — a chunk that raises is resubmitted with exponential
-  backoff up to ``max_retries`` times before the run falls back, so one
+  backoff up to ``MAX_RETRIES`` times before the run falls back, so one
   transient worker hiccup (OOM-killed child, flaky I/O inside a task) does
   not serialise a whole sweep.
 
@@ -30,7 +30,6 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any
 
 from repro.runtime.stats import RunStats, Stopwatch
 from repro.utils.validation import ReproError
@@ -38,6 +37,25 @@ from repro.utils.validation import ReproError
 #: environment variable consulted when callers pass ``jobs=None`` explicitly
 #: asking for the ambient default (the CLI exports it for nested call sites)
 JOBS_ENV_VAR = "REPRO_JOBS"
+
+# Pool tuning, read at each map() call (tests patch them to drive the fault
+# paths):
+#: tasks per submitted chunk; None spreads the tasks over ``4 * jobs``
+#: chunks, so stragglers can be rebalanced while per-chunk pickling of shared
+#: payloads (pickle memoises within one chunk) stays amortised
+CHUNK_SIZE: int | None = None
+#: progress timeout in seconds: if no chunk completes for this long the pool
+#: is abandoned and the run falls back to serial; None waits forever. This
+#: guards scheduling/worker hangs — a task that also hangs when run serially
+#: will still hang
+TASK_TIMEOUT: float | None = None
+#: how many times one failing chunk is resubmitted before fallback
+MAX_RETRIES = 2
+#: base of the exponential backoff between retries of a chunk, seconds
+BACKOFF_SECONDS = 0.05
+#: inputs smaller than this run serially outright — pool startup costs more
+#: than it buys
+MIN_PARALLEL_TASKS = 2
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -109,46 +127,13 @@ class _ParallelAbort(Exception):
 class ParallelMap:
     """Order-preserving map with chunking, retries, and serial fallback.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes (see :func:`resolve_jobs`); 1 means serial.
-    chunk_size:
-        Tasks per submitted chunk. Default: tasks spread over ``4 * jobs``
-        chunks, so stragglers can be rebalanced while per-chunk pickling of
-        shared payloads (pickle memoises within one chunk) stays amortised.
-    task_timeout:
-        Progress timeout in seconds: if no chunk completes for this long the
-        pool is abandoned and the run falls back to serial. ``None`` (the
-        default) waits forever. This guards scheduling/worker hangs — a task
-        that also hangs when run serially will still hang.
-    max_retries:
-        How many times one failing chunk is resubmitted before fallback.
-    backoff_seconds:
-        Base of the exponential backoff between retries of a chunk.
-    min_parallel_tasks:
-        Inputs smaller than this run serially outright — pool startup costs
-        more than it buys.
+    *jobs* is the worker-process count (see :func:`resolve_jobs`); 1 means
+    serial. Chunking, the progress timeout and the retry budget are the
+    module constants above.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        *,
-        chunk_size: int | None = None,
-        task_timeout: float | None = None,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.05,
-        min_parallel_tasks: int = 2,
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ReproError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-        self.task_timeout = task_timeout
-        self.max_retries = max(0, int(max_retries))
-        self.backoff_seconds = backoff_seconds
-        self.min_parallel_tasks = min_parallel_tasks
         #: stats of the most recent :meth:`map` call
         self.last_stats: RunStats | None = None
 
@@ -190,12 +175,12 @@ class ParallelMap:
     def _serial_reason(self, items: list) -> str | None:
         if self.jobs <= 1:
             return "jobs=1"
-        if len(items) < self.min_parallel_tasks:
+        if len(items) < MIN_PARALLEL_TASKS:
             return "tiny-input"
         return None
 
     def _chunks(self, items: list) -> list[tuple[int, list]]:
-        size = self.chunk_size or max(1, math.ceil(len(items) / (self.jobs * 4)))
+        size = CHUNK_SIZE or max(1, math.ceil(len(items) / (self.jobs * 4)))
         return [(start, items[start:start + size]) for start in range(0, len(items), size)]
 
     def _run_parallel(self, fn: Callable, items: list, stats: RunStats) -> list:
@@ -216,7 +201,7 @@ class ParallelMap:
             for start, chunk in chunks:
                 pending[pool.submit(_apply_chunk, fn, chunk)] = (start, chunk, 0)
             while pending:
-                done, _ = wait(list(pending), timeout=self.task_timeout,
+                done, _ = wait(list(pending), timeout=TASK_TIMEOUT,
                                return_when=FIRST_COMPLETED)
                 if not done:
                     # No chunk finished within the window: treat the pool as
@@ -241,10 +226,10 @@ class ParallelMap:
                         # the queued chunks drain instead of being cancelled.
                         cancel = False
                         raise _ParallelAbort("unpicklable")
-                    if attempt >= self.max_retries:
+                    if attempt >= MAX_RETRIES:
                         raise _ParallelAbort("task-failure")
                     stats.retries += 1
-                    time.sleep(self.backoff_seconds * (2 ** attempt))
+                    time.sleep(BACKOFF_SECONDS * (2 ** attempt))
                     pending[pool.submit(_apply_chunk, fn, chunk)] = (start, chunk, attempt + 1)
             orderly = True
         finally:
@@ -252,17 +237,16 @@ class ParallelMap:
         return results
 
 
-def parallel_map(fn: Callable, tasks: Iterable, jobs: int | None = None,
-                 **options: Any) -> list:
+def parallel_map(fn: Callable, tasks: Iterable, jobs: int | None = None) -> list:
     """One-shot :class:`ParallelMap` (results only; stats discarded)."""
-    return ParallelMap(jobs, **options).map(fn, tasks)
+    return ParallelMap(jobs).map(fn, tasks)
 
 
 def parallel_map_with_stats(
-    fn: Callable, tasks: Iterable, jobs: int | None = None, **options: Any
+    fn: Callable, tasks: Iterable, jobs: int | None = None
 ) -> tuple[list, RunStats]:
     """One-shot :class:`ParallelMap` returning ``(results, stats)``."""
-    executor = ParallelMap(jobs, **options)
+    executor = ParallelMap(jobs)
     results = executor.map(fn, tasks)
     assert executor.last_stats is not None
     return results, executor.last_stats

@@ -1,63 +1,20 @@
 """``python -m repro.service`` — launch ksymmetryd directly.
 
-The same flags as ``ksymmetry serve``; kept importable without the console
-script so subprocess tests and containers can start the daemon with nothing
-but a checkout on ``PYTHONPATH``.
+An alias of ``ksymmetry serve``: the same parser, flags and error handling.
+Kept importable without the console script so subprocess tests and
+containers can start the daemon with nothing but a checkout on
+``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
-import argparse
+import sys
 
-from repro.service.daemon import ServiceConfig, run
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="ksymmetryd: anonymization-as-a-service daemon")
-    defaults = ServiceConfig()
-    parser.add_argument("--host", default=defaults.host)
-    parser.add_argument("--port", type=int, default=defaults.port,
-                        help="TCP port (0 = ephemeral; the bound port is "
-                             "printed on startup)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the batch pool (0 = all "
-                             "CPUs; default: serial). Results are identical "
-                             "for any value.")
-    parser.add_argument("--cache-size", type=int,
-                        default=defaults.cache_entries, metavar="ENTRIES",
-                        help="artifact cache capacity (LRU)")
-    parser.add_argument("--cache-spill-dir", default=None, metavar="DIR",
-                        help="spill evicted artifacts to DIR and reload on miss")
-    parser.add_argument("--max-queue", type=int, default=defaults.max_queue,
-                        help="bounded scheduler queue; beyond it requests "
-                             "get 429 + Retry-After")
-    parser.add_argument("--max-batch", type=int, default=defaults.max_batch,
-                        help="requests coalesced per worker-pool dispatch")
-    parser.add_argument("--request-timeout", type=float,
-                        default=defaults.request_timeout, metavar="SECONDS",
-                        help="synchronous wait bound before 504 (the job "
-                             "keeps running and stays pollable)")
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> ServiceConfig:
-    return ServiceConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        cache_entries=args.cache_size,
-        cache_spill_dir=args.cache_spill_dir,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        request_timeout=args.request_timeout,
-    )
+from repro.cli import main as cli_main
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return cli_main(["serve", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.generators import cycle_graph, path_graph
+from repro.datasets.paper_graphs import figure3_graph
+from repro.graphs.generators import (
+    cycle_graph,
+    gnp_random_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 from repro.graphs.graph import Graph
 from repro.isomorphism.canonical import (
     canonical_labeling,
@@ -127,6 +134,33 @@ class TestCertificateDigest:
         g = Graph.from_edges([(0, 1)])
         assert certificate_digest(g, {0: "x", 1: "x"}) != \
             certificate_digest(g, {0: "x", 1: "y"})
+
+
+def _figure3_by_degree() -> tuple[Graph, dict]:
+    g = figure3_graph()
+    return g, {v: g.degree(v) for v in g.vertices()}
+
+
+class TestPinnedDigests:
+    """Which labeling wins, not only that it is isomorphism-invariant:
+    ksymmetryd keys its cache and spill files by these digests, so a change
+    to the search that picks another canonical leaf must show up here."""
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: (figure3_graph(), None),
+         "08c95ece1e1981e99d53b653e4e255cf020eb98765fc82684b569a5a4f88b5b8"),
+        (_figure3_by_degree,
+         "0c81d50ce55db4b31a44df42e72f8ad6164e6e65fed14a128b09e5a38571c601"),
+        (lambda: (petersen_graph(), None),
+         "36f74c003533bf325935caa30aa4fb3173a1bfcc1f50c85457e17e565295687a"),
+        (lambda: (star_graph(7), None),
+         "8103ab1b29314495a4c13ccb6ea03e9acb0f57af95ed597d8bc639b1f723a746"),
+        (lambda: (gnp_random_graph(24, 0.2, rng=7), None),
+         "1861071255137dba0d5f3e82df4298611ced7751dfbaf381487f4670b8580745"),
+    ], ids=["figure3", "figure3-degree-colored", "petersen", "star7", "gnp24"])
+    def test_digest_pinned(self, build, expected):
+        graph, coloring = build()
+        assert certificate_digest(graph, coloring) == expected
 
 
 class TestCertificateWithLabeling:

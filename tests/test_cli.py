@@ -2,14 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.publication import load_publication, save_publication_triple
 from repro.core.reference import reference_republish
 from repro.core.republish import read_delta
-from repro.datasets.paper_graphs import figure1_graph
+from repro.datasets.paper_graphs import figure1_graph, figure3_graph
 from repro.graphs.io import read_edge_list, write_edge_list
 
 
@@ -218,6 +221,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err and "original_n=0" in err
 
+    def test_sample_from_truncated_edge_list_fails_cleanly(self, tmp_path, capsys):
+        source = tmp_path / "fig3.edges"
+        write_edge_list(figure3_graph(), source)
+        pub = str(tmp_path / "pub")
+        main(["anonymize", str(source), "-k", "2", "--out", pub])
+        capsys.readouterr()
+        edges = open(pub + ".edges").read()
+        with open(pub + ".edges", "w") as handle:
+            handle.write(edges.replace("\n2 3\n", "\n"))
+        assert main(["sample", pub, "--count", "1"]) == 1
+        assert "error: .edges header says 10 vertices, 14 edges" in capsys.readouterr().err
+
     def test_unknown_command_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -297,15 +312,19 @@ class TestServeParser:
             ("/tmp/spill", 3, 2)
         assert args.request_timeout == 1.5
 
-    def test_module_parser_matches_cli_defaults(self):
-        from repro.cli import build_parser as cli_parser
-        from repro.service.__main__ import build_parser as module_parser
-
-        cli_args = cli_parser().parse_args(["serve"])
-        mod_args = module_parser().parse_args([])
-        for flag in ("host", "port", "jobs", "cache_size", "cache_spill_dir",
-                     "max_queue", "max_batch", "request_timeout"):
-            assert getattr(cli_args, flag) == getattr(mod_args, flag), flag
+    def test_module_entry_point_answers_like_cli(self, capsys):
+        """``python -m repro.service`` is ``ksymmetry serve``: a bad flag
+        value gets the CLI's one-line error and exit 1, not a traceback."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--jobs", "-1", "--port", "0"],
+            capture_output=True, text=True, env=env, timeout=120, check=False)
+        assert main(["serve", "--jobs", "-1", "--port", "0"]) == 1
+        assert proc.returncode == 1
+        assert proc.stderr == capsys.readouterr().err == \
+            "error: jobs must be >= 0, got -1\n"
 
     def test_serve_rejects_negative_jobs(self, capsys):
         assert main(["serve", "--jobs", "-1", "--port", "0"]) == 1

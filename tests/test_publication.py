@@ -116,6 +116,25 @@ class TestValidation:
         with pytest.raises(PublicationFormatError, match="meta"):
             parse_publication(edges, partition, meta[:-3])
 
+    def test_edge_list_disagreeing_with_its_header_rejected(self):
+        """A dropped edge line leaves a graph whose published cells are no
+        longer orbits; the size header catches the truncation."""
+        edges, partition, meta = publication_texts(*anonymize(figure3_graph(), 2).published())
+        assert "\n2 3\n" in edges
+        with pytest.raises(PublicationFormatError, match=r"\.edges header says 10 vertices, 14 edges"):
+            parse_publication(edges.replace("\n2 3\n", "\n"), partition, meta)
+
+    def test_vertex_count_disagreeing_with_its_header_rejected(self):
+        edges, partition, meta = publication_texts(*anonymize(figure3_graph(), 2).published())
+        with pytest.raises(PublicationFormatError, match=r"\.edges header"):
+            parse_publication(edges.replace("10 vertices", "11 vertices", 1), partition, meta)
+
+    def test_edge_list_without_header_still_loads(self):
+        edges, partition, meta = publication_texts(*anonymize(figure3_graph(), 2).published())
+        headerless = edges.split("\n", 1)[1]
+        assert parse_publication(headerless, partition, meta) == parse_publication(
+            edges, partition, meta)
+
 
 class TestPartitionParsing:
     """Hardening of the .partition text format (CRLF, blanks, duplicates)."""

@@ -15,6 +15,7 @@ import time
 import pytest
 
 import repro
+import repro.runtime.executor as executor_module
 from repro.runtime import (
     JOBS_ENV_VAR,
     ParallelMap,
@@ -121,8 +122,9 @@ class TestParallelExecution:
         assert stats.chunks >= 2
         assert stats.tasks == 25 and stats.jobs == 3
 
-    def test_explicit_chunk_size(self):
-        executor = ParallelMap(2, chunk_size=1)
+    def test_explicit_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "CHUNK_SIZE", 1)
+        executor = ParallelMap(2)
         assert executor.map(square, range(6)) == [x * x for x in range(6)]
         assert executor.last_stats.chunks == 6
 
@@ -169,7 +171,8 @@ class TestParallelExecution:
                     kept.append(self)
 
             executor_module.ProcessPoolExecutor = KeptPool
-            executor = ParallelMap(2, chunk_size=1)
+            executor_module.CHUNK_SIZE = 1
+            executor = ParallelMap(2)
             tasks = [(SlowToRefusePickling(), x) for x in range(6)]
             assert executor.map(operator.itemgetter(1), tasks) == list(range(6))
             assert executor.last_stats.fallback == "unpicklable"
@@ -191,9 +194,11 @@ class TestParallelExecution:
 
 
 class TestFaultInjection:
-    def test_worker_failure_retries_then_falls_back_serial(self):
+    def test_worker_failure_retries_then_falls_back_serial(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "MAX_RETRIES", 1)
+        monkeypatch.setattr(executor_module, "BACKOFF_SECONDS", 0.01)
         tasks = [(os.getpid(), x) for x in range(6)]
-        executor = ParallelMap(2, max_retries=1, backoff_seconds=0.01)
+        executor = ParallelMap(2)
         results = executor.map(fail_in_worker, tasks)
         assert results == [x * x for x in range(6)]
         stats = executor.last_stats
@@ -201,20 +206,24 @@ class TestFaultInjection:
         assert stats.retries >= 1
         assert any("injected worker failure" in err for err in stats.errors)
 
-    def test_transient_failure_recovers_within_retry_budget(self, tmp_path):
+    def test_transient_failure_recovers_within_retry_budget(self, tmp_path, monkeypatch):
         scratch = tmp_path / "attempts.log"
         tasks = [(str(scratch), 2, 7)] * 3
-        executor = ParallelMap(2, chunk_size=len(tasks), max_retries=2,
-                               backoff_seconds=0.01)
+        monkeypatch.setattr(executor_module, "CHUNK_SIZE", len(tasks))
+        monkeypatch.setattr(executor_module, "MAX_RETRIES", 2)
+        monkeypatch.setattr(executor_module, "BACKOFF_SECONDS", 0.01)
+        executor = ParallelMap(2)
         results = executor.map(fail_first_attempts, tasks)
         assert results == [49, 49, 49]
         stats = executor.last_stats
         # the single chunk failed once, was resubmitted, then succeeded
         assert stats.mode == "parallel" and stats.retries == 1
 
-    def test_timeout_falls_back_serial(self):
+    def test_timeout_falls_back_serial(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "TASK_TIMEOUT", 0.25)
+        monkeypatch.setattr(executor_module, "MAX_RETRIES", 0)
         tasks = [(os.getpid(), x) for x in range(4)]
-        executor = ParallelMap(2, task_timeout=0.25, max_retries=0)
+        executor = ParallelMap(2)
         started = time.perf_counter()
         results = executor.map(hang_in_worker, tasks)
         assert results == [x * x for x in range(4)]

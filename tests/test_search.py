@@ -4,6 +4,8 @@ This is the load-bearing test module of the whole reproduction: every
 anonymity guarantee reduces to the correctness of Orb(G).
 """
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,8 @@ from repro.graphs.generators import (
     cycle_graph,
     disjoint_union,
     path_graph,
+    petersen_graph,
+    random_tree,
     star_graph,
 )
 from repro.graphs.graph import Graph
@@ -141,3 +145,26 @@ class TestStats:
         result = automorphism_search(path_graph(9))
         assert result.stats.pendant_vertices > 0
         assert result.stats.core_size < 9
+
+    @pytest.mark.parametrize("build, kwargs, expected", [
+        (petersen_graph, {},
+         dict(nodes=24, leaves=11, generators_found=10, twin_cells_collapsed=0,
+              trace_prunes=0, orbit_prunes=13, bad_leaves=0, pendant_vertices=0,
+              core_size=10)),
+        (lambda: random_tree(30, rng=9), {},
+         dict(nodes=0, leaves=0, generators_found=8, twin_cells_collapsed=0,
+              trace_prunes=0, orbit_prunes=0, bad_leaves=0, pendant_vertices=28,
+              core_size=2)),
+        (lambda: random_tree(30, rng=9), {"use_pendant_collapse": False},
+         dict(nodes=11, leaves=5, generators_found=9, twin_cells_collapsed=4,
+              trace_prunes=0, orbit_prunes=4, bad_leaves=0, pendant_vertices=0,
+              core_size=30)),
+        (lambda: disjoint_union(cycle_graph(3), cycle_graph(3), cycle_graph(6)), {},
+         dict(nodes=20, leaves=7, generators_found=10, twin_cells_collapsed=7,
+              trace_prunes=4, orbit_prunes=50, bad_leaves=0, pendant_vertices=0,
+              core_size=12)),
+    ], ids=["petersen", "tree30", "tree30-no-pendant", "c3+c3+c6"])
+    def test_every_counter_pinned(self, build, kwargs, expected):
+        """The search's pruning decisions, counter by counter: a refactor
+        that keeps the orbits but walks a different tree shows up here."""
+        assert asdict(automorphism_search(build(), **kwargs).stats) == expected
