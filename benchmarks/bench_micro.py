@@ -44,15 +44,18 @@ def test_refine_from_individualization(benchmark, ba_graph):
 
 
 def test_orbit_copy_operation(benchmark, ba_graph):
+    """One whole-orbit copy, materialised: the copy records its unit and
+    ``freeze`` builds the grown CSR."""
     orbits = automorphism_partition(ba_graph).orbits
 
     def one_copy():
         state = ArrayPartitionedGraph(OverlayGraph.from_graph(ba_graph), orbits.cells)
         state.copy_cell(0)
-        return state
+        return state, state.overlay.freeze()
 
-    state = benchmark(one_copy)
-    assert state.overlay.n > ba_graph.n
+    state, (indptr, indices) = benchmark(one_copy)
+    assert state.overlay.n == len(indptr) - 1 > ba_graph.n
+    assert len(indices) // 2 == ba_graph.m + state.records[0].edges_added
 
 
 def test_inverse_degree_probabilities(benchmark, ba_graph):

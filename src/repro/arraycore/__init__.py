@@ -1,4 +1,4 @@
-"""Array-first core: the CSR-plus-overlay engine behind every pipeline pass.
+"""Array-first core: the CSR engine behind every pipeline pass.
 
 The CSR kernels (:mod:`repro.graphs.csr`) cover read-only passes; this
 package makes the array representation the only production one for the
@@ -6,9 +6,10 @@ anonymization pipeline itself. The flow is
 
 ``Graph`` (any labels, any insertion order)
     → :func:`array_space` (CSR rows in ascending-label order + the labels)
-    → :class:`OverlayGraph` (frozen CSR base + insertions-only overlay)
-    → :class:`ArrayPartitionedGraph` (orbit copying as array appends)
-    → ``freeze()`` (publication CSR) or ``to_graph()`` (back to the labels)
+    → :class:`OverlayGraph` (frozen input CSR + the originals of the copies)
+    → :class:`ArrayPartitionedGraph` (copy operations as records, one mint)
+    → ``freeze()`` (the grown CSR in closed form) or ``to_graph()`` (back
+      to the labels)
     → :mod:`~repro.arraycore.backbone` / the samplers (flat passes).
 
 The dict implementations survive only as parity oracles in

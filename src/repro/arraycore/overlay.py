@@ -1,28 +1,28 @@
-"""Insertions-only overlay over a frozen CSR base.
+"""Orbit copying (paper Definition 3) in closed form over a frozen CSR.
 
-Orbit copying (paper Definition 3) only ever *adds* vertices and edges, so
-the working graph of the anonymizer never needs a mutable dict-of-sets: it is
-an immutable CSR snapshot of the input plus an append-only overlay of the
-insertions. :class:`OverlayGraph` is that pair:
+Copy operations only ever *add* vertices and edges, and which edges they add
+follows from the input graph alone. Write C(v) for v followed by its copies
+in minting order (v is its own 0-th copy):
 
-* the **base** is the input graph's CSR arrays (``indptr``/``indices``,
-  rows sorted ascending, vertex ids contiguous ``0..base_n-1``);
-* the **overlay** is a per-vertex list of neighbours appended since the
-  snapshot, plus the count of vertices minted on top of the base.
+* for an input edge (u, w) between two cells, every vertex of C(u) ends up
+  adjacent to every vertex of C(w), whatever order the cells grow in — a
+  copy of u attaches to all current copies of its outside neighbours, and
+  every later copy of w attaches to all current copies of u;
+* for an input edge (u, w) inside a cell, the t-th copies of u and w are
+  adjacent. A copy unit is closed under in-cell adjacency, so u and w are
+  copied by the same operations, and each operation mirrors the edge once.
 
-A vertex's adjacency is the concatenation of its (sorted) base row and its
-overlay appends; copy operations cost O(degree) appends instead of a dict
-rebuild or CSR re-freeze per step. When the growth is finished,
-:meth:`freeze` compacts everything back into flat CSR arrays (one vectorised
-sort) for the publication writer and the samplers, and :meth:`to_graph`
-hands the result back across the boundary of :mod:`repro.arraycore.space`
-as a dict :class:`repro.graphs.Graph` in the caller's labels: the input
-graph plus the overlay's insertions, relabelled.
-
-The overlay stores each undirected edge in both directions, mirroring CSR
-``nnz = 2m``. Callers are trusted not to insert duplicate edges or
-self-loops — the anonymizer's copy operations cannot produce either (every
-new edge is incident to a vertex minted in the same operation).
+No other edge is ever added. So :class:`OverlayGraph` stores no edge at all:
+it is the input CSR (``indptr``/``indices``, rows ascending, vertices
+``0..base_n-1``), the cell of every input vertex, and the original every
+fresh vertex copies. :meth:`~OverlayGraph.freeze` expands each directed
+input entry over C(row) x C(column), pairing equal indices inside a cell,
+into one preallocated key array (``row*n + column``, written in bounded
+chunks) and sorts it once; every copy has its original's grown degree, so
+``indptr`` comes straight from the degrees. :meth:`~OverlayGraph.to_graph`
+hands the same graph back across the boundary of
+:mod:`repro.arraycore.space` as a dict :class:`repro.graphs.Graph` in the
+caller's labels.
 """
 
 from __future__ import annotations
@@ -36,22 +36,25 @@ from repro.graphs.graph import Graph, Vertex
 
 __all__ = ["OverlayGraph"]
 
+#: keys expanded per vectorised pass of :meth:`OverlayGraph.freeze`; bounds
+#: the temporaries to a few times this many int64s whatever the graph size
+FREEZE_CHUNK = 1 << 20
+
 
 class OverlayGraph:
-    """A contiguous-int-vertex graph as frozen CSR base + insertion overlay."""
+    """A frozen input CSR plus the vertices copied onto it."""
 
-    __slots__ = ("base_n", "base_m", "indptr", "indices", "_extra", "_n", "_m")
+    __slots__ = ("base_n", "indptr", "indices", "cell_of", "roots")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = indptr
         self.indices = indices
         self.base_n = len(indptr) - 1
-        self.base_m = len(indices) // 2
-        # Overlay adjacency: vertex -> appended neighbour list. Sparse by
-        # design — only copy anchors and fresh vertices ever have entries.
-        self._extra: dict[int, list[int]] = {}
-        self._n = self.base_n
-        self._m = self.base_m
+        #: cell index of every input vertex: one cell until an
+        #: :class:`repro.arraycore.ArrayPartitionedGraph` tracks its partition here
+        self.cell_of = np.zeros(self.base_n, dtype=np.int64)
+        #: ``roots[i]``: the input vertex that fresh vertex ``base_n + i`` copies
+        self.roots = np.empty(0, dtype=np.int64)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "OverlayGraph":
@@ -70,103 +73,72 @@ class OverlayGraph:
             )
         return cls(indptr, indices)
 
-    # ------------------------------------------------------------------
-
     @property
     def n(self) -> int:
-        return self._n
+        return self.base_n + len(self.roots)
 
-    @property
-    def m(self) -> int:
-        return self._m
+    def mint(self, roots: np.ndarray) -> int:
+        """Fresh copies of the input vertices *roots*; returns the first new id.
 
-    def add_vertex(self) -> int:
-        """Mint the next vertex id (``n``) and return it."""
-        v = self._n
-        self._n += 1
-        return v
+        The caller keeps the closure rule above: every operation copies
+        whole cell-induced components of input vertices.
+        """
+        first = self.n
+        self.roots = np.concatenate((self.roots, roots))
+        return first
 
-    def add_edge(self, u: int, v: int) -> None:
-        """Append the undirected edge (u, v). No duplicate/self-loop check."""
-        extra = self._extra
-        row = extra.get(u)
-        if row is None:
-            extra[u] = [v]
-        else:
-            row.append(v)
-        row = extra.get(v)
-        if row is None:
-            extra[v] = [u]
-        else:
-            row.append(u)
-        self._m += 1
-
-    def base_degree(self, v: int) -> int:
-        if v >= self.base_n:
-            return 0
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def degree(self, v: int) -> int:
-        extra = self._extra.get(v)
-        return self.base_degree(v) + (len(extra) if extra else 0)
-
-    def neighbors_list(self, v: int) -> list[int]:
-        """Adjacency of *v*: sorted base row followed by overlay appends."""
-        if v < self.base_n:
-            row = self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
-        else:
-            row = []
-        extra = self._extra.get(v)
-        if extra:
-            row.extend(extra)
-        return row
+    def copy_counts(self) -> np.ndarray:
+        """Copies minted so far of every input vertex."""
+        return np.bincount(self.roots, minlength=self.base_n)
 
     # ------------------------------------------------------------------
 
     def freeze(self) -> tuple[np.ndarray, np.ndarray]:
-        """Compact base + overlay into fresh CSR arrays (rows sorted ascending).
+        """The grown graph as CSR arrays (rows sorted ascending)."""
+        base_n, n = self.base_n, self.n
+        origin = np.concatenate((np.arange(base_n, dtype=np.int64), self.roots))
+        # copies[first[v]:first[v + 1]] is C(v): v, then its copies ascending
+        copies = np.argsort(origin, kind="stable")
+        count = self.copy_counts() + 1
+        first = np.zeros(base_n + 1, dtype=np.int64)
+        np.cumsum(count, out=first[1:])
 
-        One vectorised pass: degrees by bincount over the overlay endpoints,
-        base rows block-copied at their new offsets, overlay entries appended,
-        then the composite-key sort from :class:`repro.graphs.csr.CSRView`
-        orders every row in place.
-        """
-        n = self._n
-        base_n = self.base_n
-        base_deg = np.diff(self.indptr).astype(np.int64)
-        deg = np.zeros(n, dtype=np.int64)
-        deg[:base_n] = base_deg
-
-        extra_vertices = sorted(self._extra)
-        for v in extra_vertices:
-            deg[v] += len(self._extra[v])
-
+        rows = np.repeat(np.arange(base_n, dtype=np.int64), np.diff(self.indptr))
+        cols = self.indices
+        inside = self.cell_of[rows] == self.cell_of[cols]
+        # neighbours each copy of the row gains from one input entry
+        width = np.where(inside, 1, count[cols])
+        degree = np.bincount(rows, weights=width, minlength=base_n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
+        np.cumsum(degree[origin], out=indptr[1:])
 
-        # Base rows: every entry shifts by (new start - old start) of its row.
-        if len(self.indices):
-            shift = indptr[:base_n] - self.indptr[:-1]
-            dest = np.arange(len(self.indices), dtype=np.int64) + np.repeat(shift, base_deg)
-            indices[dest] = self.indices
-
-        # Overlay entries land after each row's base block.
-        for v in extra_vertices:
-            row = self._extra[v]
-            start = int(indptr[v]) + int(base_deg[v]) if v < base_n else int(indptr[v])
-            indices[start:start + len(row)] = row
-
-        rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-        keys = rows * n
-        indices += keys
-        indices.sort()
-        indices -= keys
-        return indptr, indices
+        keys = np.empty(int(indptr[-1]), dtype=np.int64)
+        reps = count[rows]
+        ends = np.cumsum(reps * width)
+        entry = written = 0
+        while entry < len(rows):
+            stop = max(int(np.searchsorted(ends, written + FREEZE_CHUNK, side="right")), entry + 1)
+            batch = slice(entry, stop)
+            # one slot per (entry, copy of its row) ...
+            rep = reps[batch]
+            rank = segment_ranks(rep)
+            row_key = copies[np.repeat(first[rows[batch]], rep) + rank] * n
+            col_start = np.repeat(first[cols[batch]], rep)
+            col_start += np.where(np.repeat(inside[batch], rep), rank, 0)
+            # ... then one key per neighbour that copy gains from the entry
+            wide = np.repeat(width[batch], rep)
+            chunk = keys[written:int(ends[stop - 1])]
+            chunk[:] = segment_ranks(wide)
+            chunk += np.repeat(col_start, wide)
+            np.take(copies, chunk, out=chunk)
+            chunk += np.repeat(row_key, wide)
+            entry, written = stop, int(ends[stop - 1])
+        keys.sort()
+        np.remainder(keys, n, out=keys)
+        return indptr, keys
 
     def to_graph(self, base: Graph, labels: Sequence[Vertex]) -> Graph:
-        """*base* plus the overlay's insertions, as a dict :class:`Graph`.
+        """*base* plus the copies' vertices and edges, as a dict :class:`Graph`.
 
         *base* is the graph this overlay snapshots and ``labels[i]`` the
         label of vertex ``i``, fresh vertices included
@@ -175,10 +147,34 @@ class OverlayGraph:
         order — what growing *base* in place would have produced.
         """
         graph = base.copy()
+        base_n, n = self.base_n, self.n
+        if n == base_n:
+            return graph
+        indptr, indices = self.freeze()
+        # An input vertex's row is its input row followed by its fresh
+        # neighbours (ids >= base_n); every entry of a fresh row is new.
+        split = int(indptr[base_n])
+        head = indices[:split]
+        new_entries = np.diff(indptr)
+        new_entries[:base_n] -= np.diff(self.indptr)
+        neighbours = list(map(labels.__getitem__, np.concatenate(
+            (head[head >= base_n], indices[split:])).tolist()))
+        grown = np.flatnonzero(new_entries[:base_n])
+        ends = np.cumsum(new_entries[grown]).tolist()
         adj = graph._adj
-        for v in range(self.base_n, self._n):
-            adj[labels[v]] = set()
-        for v, row in self._extra.items():
-            adj[labels[v]].update([labels[u] for u in row])
-        graph._m = self._m
+        start = 0
+        for v, end in zip(grown.tolist(), ends):
+            adj[labels[v]].update(neighbours[start:end])
+            start = end
+        for v, end in zip(range(base_n, n), (start + np.cumsum(new_entries[base_n:])).tolist()):
+            adj[labels[v]] = set(neighbours[start:end])
+            start = end
+        graph._m = len(indices) // 2
         return graph
+
+
+def segment_ranks(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., lengths[i] - 1 for every i, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)

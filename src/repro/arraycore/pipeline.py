@@ -2,7 +2,7 @@
 
 This is the scale path that ``benchmarks/bench_scale.py`` drives to a
 million vertices: after the automorphism partition is computed, every stage
-runs on flat arrays — orbit copying as overlay appends, publication straight
+runs on flat arrays — orbit copying in closed form, publication straight
 off the frozen CSR, backbone as an alive-mask sweep, and the approximate
 sampler's quota + DFS over CSR rows. The dict ``Graph`` is materialised
 nowhere on this path.
@@ -138,8 +138,8 @@ def _grow_and_freeze(
     from repro.arraycore.state import ArrayPartitionedGraph
 
     state = ArrayPartitionedGraph(
-        OverlayGraph.from_graph(graph), partition.cells, track_records=False)
-    state.grow({i: k for i in range(len(partition))}, copy_unit)
+        OverlayGraph.from_graph(graph), partition.cells,
+        {i: k for i in range(len(partition))}, copy_unit, track_records=False)
     indptr, indices = state.overlay.freeze()
     return indptr, indices, state.cells
 

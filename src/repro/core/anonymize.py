@@ -150,8 +150,8 @@ def _grow(
     from repro.arraycore.state import ArrayPartitionedGraph
 
     indptr, indices, labels = array_space(graph)
-    state = ArrayPartitionedGraph(OverlayGraph(indptr, indices), index_cells(labels, cells))
-    state.grow(requirements, copy_unit)
+    state = ArrayPartitionedGraph(
+        OverlayGraph(indptr, indices), index_cells(labels, cells), requirements, copy_unit)
     label = grown_labels(labels, state.overlay.n)
     records = [
         CopyRecord(

@@ -30,7 +30,7 @@ class Permutation:
     True
     """
 
-    __slots__ = ("_map", "_support")
+    __slots__ = ("_map", "_support", "_hash")
 
     def __init__(self, mapping: dict[Vertex, Vertex]) -> None:
         if set(mapping.keys()) != set(mapping.values()):
@@ -38,6 +38,16 @@ class Permutation:
         # Drop fixed points so equality and support are canonical.
         self._map = {k: v for k, v in mapping.items() if k != v}
         self._support: frozenset | None = None
+        self._hash: int | None = None
+
+    def __getstate__(self) -> dict:
+        # The cached hash is salted per process for str vertices: not pickled.
+        return self._map
+
+    def __setstate__(self, state: dict) -> None:
+        self._map = state
+        self._support = None
+        self._hash = None
 
     @classmethod
     def identity(cls) -> "Permutation":
@@ -144,7 +154,9 @@ class Permutation:
         return self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self._map:

@@ -383,6 +383,8 @@ class KSymmetryDaemon:
                 job.fail(400, str(exc))
             except Exception as exc:  # noqa: BLE001 - rendering must not leak
                 job.fail(500, f"response rendering failed: {exc!r}")
+        elif tag == "rejected":
+            job.fail(400, str(value))
         else:
             job.fail(500, str(value))
         job.rendered.set()

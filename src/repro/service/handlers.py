@@ -444,6 +444,23 @@ def build_publish_lines(ci: CanonicalInput, artifact: dict) -> list[dict]:
     })
 
 
+def release0_mapping(ci: CanonicalInput, request: RepublishRequest,
+                     release0: Sequence[int]) -> dict[int, int]:
+    """The requester's ids of the canonical release-0 vertices *release0*
+    (the publish artifact's ``vertex_ids``), as :func:`build_publish_lines`
+    maps them. A delta id equal to one of them — a copy id the publish
+    response minted — is the requester's mistake: :class:`ProtocolError`
+    (a 400 ``bad delta``)."""
+    mapping = ci.map_back(list(release0))
+    collisions = set(request.delta_vertices) & set(mapping.values())
+    if collisions:
+        raise ProtocolError(
+            f"bad delta: delta vertex ids {sorted(collisions)} collide with "
+            "release-0 copy ids; pick delta ids above the published graph's "
+            "vertex ids")
+    return mapping
+
+
 def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
                           artifact: dict) -> list[dict]:
     """NDJSON payload of a republish response, id-stable with /v1/publish.
@@ -458,19 +475,13 @@ def build_republish_lines(ci: CanonicalInput, request: RepublishRequest,
       keep the requester's own delta ids, by rank;
     * release-1 growth copies get fresh ids above everything already used.
 
-    A delta id equal to a copy id the publish response minted is the
-    requester's mistake: :class:`ProtocolError` (a 400 ``bad delta``).
+    A delta id equal to a copy id the publish response minted is refused
+    (:func:`release0_mapping`).
     """
     base = artifact["publish_n"]
     delta_count = artifact["delta_count"]
-    release0 = [w for w in artifact["vertex_ids"] if w < base]
-    mapping = ci.map_back(release0)
-    collisions = set(request.delta_vertices) & set(mapping.values())
-    if collisions:
-        raise ProtocolError(
-            f"bad delta: delta vertex ids {sorted(collisions)} collide with "
-            "release-0 copy ids; pick delta ids above the published graph's "
-            "vertex ids")
+    mapping = release0_mapping(
+        ci, request, [w for w in artifact["vertex_ids"] if w < base])
     for rank, requester_id in enumerate(request.delta_vertices):
         mapping[base + rank] = requester_id
     fresh = max(mapping.values(), default=-1) + 1

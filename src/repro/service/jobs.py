@@ -40,6 +40,7 @@ class Job:
         #: HTTP status of a failed job's answer (4xx: the request's fault)
         self.error_status = 500
         #: resolved by the scheduler: ("ok", (ci, artifact)) | ("error", msg)
+        #: | ("rejected", msg) — a 400 found before the artifact was stored
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()
         #: set once the response payload has been rendered from the artifact
         self.rendered = asyncio.Event()

@@ -44,6 +44,7 @@ from repro.service.canon import CanonicalInput
 from repro.service.jobs import Job
 from repro.service.protocol import (
     AuditRequest,
+    ProtocolError,
     PublishRequest,
     RepublishRequest,
     SampleRequest,
@@ -184,7 +185,11 @@ class BatchScheduler:
                 outcomes[index] = ("error", value)
                 continue
             ci = value
-            keys, spec, hit = self._plan(batch[index], ci)
+            try:
+                keys, spec, hit = self._plan(batch[index], ci)
+            except ProtocolError as exc:
+                outcomes[index] = ("rejected", str(exc))
+                continue
             if hit is not None:
                 outcomes[index] = ("ok", (ci, hit))
                 continue
@@ -198,7 +203,11 @@ class BatchScheduler:
                 if tag != "ok":
                     outcomes[index] = ("error", value)
                     continue
-                artifact = self._install(batch[index], keys, value)
+                try:
+                    artifact = self._install(batch[index], ci, keys, value)
+                except ProtocolError as exc:
+                    outcomes[index] = ("rejected", str(exc))
+                    continue
                 outcomes[index] = ("ok", (ci, artifact))
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
@@ -244,7 +253,9 @@ class BatchScheduler:
 
         A full hit returns ``(keys, None, artifact)``; a miss returns the
         spec to compute (for samples the spec carries the publish artifact
-        when only that half is cached).
+        when only that half is cached). A republish whose delta ids collide
+        with the cached release 0 raises :class:`ProtocolError` before
+        anything is computed.
         """
         request = job.request
         if isinstance(request, PublishRequest):
@@ -274,6 +285,8 @@ class BatchScheduler:
             pkey = handlers.publish_key(ci, request)
             keys["publish"] = pkey
             publish_artifact = self.cache.get(pkey)
+            if publish_artifact is not None:
+                handlers.release0_mapping(ci, request, publish_artifact["vertex_ids"])
             return keys, handlers.republish_spec(ci, request,
                                                  publish_artifact), None
         assert isinstance(request, AuditRequest)
@@ -284,8 +297,13 @@ class BatchScheduler:
             return {"audit": key}, None, artifact
         return {"audit": key}, handlers.audit_spec(ci, request, seed), None
 
-    def _install(self, job: Job, keys: dict, result: dict) -> dict:
-        """Store freshly computed artifacts; returns the response artifact."""
+    def _install(self, job: Job, ci: CanonicalInput, keys: dict, result: dict) -> dict:
+        """Store freshly computed artifacts; returns the response artifact.
+
+        A republish whose delta ids collide with the release 0 computed in
+        the same job raises :class:`ProtocolError`; only that valid release
+        0 is stored.
+        """
         request = job.request
         if isinstance(request, SampleRequest):
             if result.get("publish") is not None:
@@ -295,6 +313,7 @@ class BatchScheduler:
         if isinstance(request, RepublishRequest):
             if result.get("publish") is not None:
                 self.cache.put(keys["publish"], result["publish"])
+                handlers.release0_mapping(ci, request, result["publish"]["vertex_ids"])
             self.cache.put(keys["republish"], result["republish"])
             return result["republish"]
         key = keys.get("publish") or keys["audit"]

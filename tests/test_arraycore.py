@@ -10,10 +10,13 @@ to replay.
 
 import ast
 import io
+import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.arraycore import (
@@ -32,6 +35,7 @@ from repro.core.publication import parse_publication, publication_texts
 from repro.core.reference import (
     reference_anonymize_cells,
     reference_backbone,
+    reference_component_classes,
     reference_pipeline,
     reference_republish,
     reference_sample_approximate,
@@ -46,6 +50,7 @@ from repro.graphs.io import write_edge_list
 from repro.graphs.partition import Partition
 from repro.isomorphism.canonical import certificate
 from repro.isomorphism.orbits import automorphism_partition
+from repro.utils.rng import derive_seed
 from repro.utils.validation import AnonymizationError
 
 
@@ -173,30 +178,40 @@ class TestOverlayGraph:
 
     def test_freeze_after_insertions_matches_dict_twin(self):
         graph = _ba(n=60)
+        partition = automorphism_partition(graph, method="stabilization").orbits
         overlay = OverlayGraph.from_graph(graph)
-        twin = graph.copy()
-        fresh = overlay.add_vertex()
-        twin.add_vertex(fresh)
-        for u in (0, 3, 17):
-            overlay.add_edge(u, fresh)
-            twin.add_edge(u, fresh)
+        state = ArrayPartitionedGraph(overlay, partition.cells)
+        twin = MutablePartitionedGraph(graph, partition)
+        for cell_index in (0, 3, 17):
+            state.copy_cell(cell_index)
+            twin.copy_cell(cell_index)
         view = overlay.to_graph(graph, range(overlay.n))
-        assert view.equals(twin)
-        assert view.vertices() == twin.vertices()
+        assert view.equals(twin.graph)
+        assert view.vertices() == twin.graph.vertices()
         # Frozen rows are ascending — the CSR contract every pass assumes.
         indptr, indices = overlay.freeze()
         for v in range(overlay.n):
             row = indices[indptr[v]:indptr[v + 1]].tolist()
-            assert row == sorted(row)
+            assert row == sorted(twin.graph.neighbors(v))
 
     def test_degree_counts_base_plus_overlay(self):
+        """A vertex gains one edge per copy of an outside neighbour, and
+        every copy has its original's grown degree."""
         graph = _ba(n=40)
+        partition = automorphism_partition(graph, method="stabilization").orbits
         overlay = OverlayGraph.from_graph(graph)
-        v = overlay.add_vertex()
-        overlay.add_edge(0, v)
-        assert overlay.degree(v) == 1
-        assert overlay.degree(0) == graph.degree(0) + 1
-        assert overlay.m == graph.m + 1
+        state = ArrayPartitionedGraph(overlay, partition.cells, {0: 4, 5: 3})
+        indptr, indices = overlay.freeze()
+        degree = np.diff(indptr).tolist()
+        copies = overlay.copy_counts()
+        cell_of = overlay.cell_of
+        for v in graph.vertices():
+            gained = sum(copies[u] for u in graph.neighbors(v) if cell_of[u] != cell_of[v])
+            assert degree[v] == graph.degree(v) + gained
+        assert state.copy_of_dict()
+        for fresh, parent in state.copy_of_dict().items():
+            assert degree[fresh] == degree[parent]
+        assert len(indices) // 2 == graph.m + sum(r.edges_added for r in state.records)
 
 
 class TestEngineParity:
@@ -320,6 +335,17 @@ class TestArrayPartitionedGraph:
             state.copy_members(0, [outsider])
         with pytest.raises(AnonymizationError):
             state.copy_members(0, [])
+        # the adjacent twins {0, 1} hang off 2 and 3: a unit must keep the
+        # internal edge whole, and only input vertices are copied
+        graph = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        partition = automorphism_partition(graph).orbits
+        cell = partition.index_of(0)
+        state = ArrayPartitionedGraph(OverlayGraph.from_graph(graph), partition.cells)
+        with pytest.raises(AnonymizationError, match="not closed"):
+            state.copy_members(cell, [0])
+        state.copy_cell(cell)
+        with pytest.raises(AnonymizationError, match="original members"):
+            state.copy_members(cell, [graph.n])
 
     def test_copy_of_dict_tracks_fresh_parents(self):
         graph = _ba(n=30)
@@ -331,6 +357,63 @@ class TestArrayPartitionedGraph:
         for fresh, parent in copy_of.items():
             assert fresh >= graph.n
             assert parent < graph.n
+
+
+@st.composite
+def _partitioned_graphs(draw):
+    """A graph on 0..n-1 (any insertion order), any covering partition,
+    and a requirement per cell — some already met."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    order = draw(st.permutations(range(n)))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    partition = Partition(
+        [[v for v in order if labels[v] == label] for label in dict.fromkeys(labels)])
+    required = draw(st.lists(st.integers(1, 6), min_size=len(partition),
+                             max_size=len(partition)))
+    return Graph.from_edges(edges, vertices=order), partition, required
+
+
+class TestClosedFormGrowth:
+    """The closed form against the dict engine on partitions that are not
+    orbit partitions: Definition 3's edges follow from the input graph
+    whatever the cells are, as long as each copy unit is closed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_partitioned_graphs(), copy_unit=st.sampled_from(["orbit", "component"]))
+    def test_grow_matches_dict_engine(self, case, copy_unit):
+        graph, partition, required = case
+        by_cell = dict(zip(partition.cells, required))
+        result = anonymize_f(graph, lambda cell, _: by_cell[cell],
+                             partition=partition, copy_unit=copy_unit)
+        state = reference_anonymize_cells(
+            graph, partition, dict(enumerate(required)), copy_unit)
+        _assert_same_growth(result, state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_partitioned_graphs(),
+           ops=st.lists(st.tuples(st.integers(0, 8), st.booleans()), min_size=1, max_size=6))
+    def test_single_operations_in_any_cell_order(self, case, ops):
+        graph, partition, _ = case
+        overlay = OverlayGraph.from_graph(graph)
+        state = ArrayPartitionedGraph(overlay, partition.cells)
+        twin = MutablePartitionedGraph(graph, partition)
+        for pick, component in ops:
+            cell = pick % len(partition)
+            members = twin.original_members[cell]
+            if component:
+                classes = reference_component_classes(twin.graph, members)
+                unit = sorted(v for cls in classes for v in cls[0])
+                assert state.component_copy_unit(cell) == unit
+            else:
+                unit = members
+            state.copy_members(cell, unit)
+            twin.copy_members(cell, unit)
+        _assert_same_graph(overlay.to_graph(graph, range(overlay.n)), twin.graph)
+        assert [sorted(cell) for cell in state.cells] == [sorted(c) for c in twin.cells]
+        assert _records(state.records) == _records(twin.records)
+        assert list(state.copy_of_dict().items()) == list(twin.copy_of.items())
 
 
 class TestBackboneArrays:
@@ -388,6 +471,25 @@ class TestPipeline:
         assert list(payload) == sorted(payload)
         assert set(report.artifacts) == {
             "partition", "publication", "backbone", "sample"}
+
+    @pytest.mark.parametrize("family", ["ba", "ws"])
+    def test_committed_scale_digests(self, family):
+        """The artifact digests committed in BENCH_scale.json are the
+        contract: its n=1e4 rows, rebuilt the way benchmarks/bench_scale.py
+        builds them, must come out byte-identical."""
+        committed = json.loads(
+            (Path(__file__).resolve().parents[1] / "BENCH_scale.json").read_text())
+        n = 10_000
+        row = next(r for r in committed["runs"] if r["family"] == family and r["n"] == n)
+        rng = random.Random(derive_seed(committed["seed"], f"bench_scale/{family}/{n}"))
+        if family == "ba":
+            graph = barabasi_albert_graph(n, 3, rng)
+        else:
+            graph = watts_strogatz_graph(n, 4, 0.1, rng)
+        partition = automorphism_partition(graph, method=committed["method"]).orbits
+        report = run_pipeline(graph, committed["k"], partition=partition,
+                              copy_unit=committed["copy_unit"], seed=committed["seed"])
+        assert report.artifacts == row["artifacts"]
 
     def test_rejects_labels_outside_range(self):
         shifted = _ba(n=20).relabeled({v: v + 1 for v in range(20)})

@@ -570,6 +570,29 @@ class TestRepublishEndpoint:
         assert descriptor["status"] == 400
         assert descriptor["error"] == info.value.message
 
+    def test_colliding_delta_is_refused_before_anything_is_cached(self, daemon):
+        """A refused republish computes and caches no republish artifact:
+        not when release 0 is cached, and not when the same job computes
+        release 0 (only that valid release 0 is stored)."""
+        # a spider unique to this test: its release 0 mints the ids 5, 6, 7
+        spider = "0 1\n0 2\n0 3\n3 4\n"
+        with daemon.client() as client:
+            client.publish(FIG3, k=2)
+            before = client.metrics()["cache"]
+            for _ in range(2):
+                with pytest.raises(ServiceError) as info:
+                    client.republish(FIG3, add_vertices=[10],
+                                     add_edges=[[10, 1]], k=2)
+                assert info.value.status == 400
+            cached = client.metrics()["cache"]
+            with pytest.raises(ServiceError) as info:
+                client.republish(spider, add_vertices=[5],
+                                 add_edges=[[5, 1]], k=2)
+            after = client.metrics()["cache"]
+        assert info.value.status == 400 and "collide" in info.value.message
+        assert (cached["puts"], cached["entries"]) == (before["puts"], before["entries"])
+        assert (after["puts"], after["entries"]) == (cached["puts"] + 1, cached["entries"] + 1)
+
     def test_async_republish_matches_sync(self, daemon):
         with daemon.client() as client:
             sync_lines = client.republish(
