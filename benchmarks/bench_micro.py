@@ -10,8 +10,10 @@ import pytest
 from repro.arraycore import ArrayPartitionedGraph, OverlayGraph
 from repro.core.sampling import inverse_degree_probabilities
 from repro.graphs.generators import barabasi_albert_graph, gnp_random_graph
+from repro.isomorphism import refinement
 from repro.isomorphism.orbits import automorphism_partition
 from repro.isomorphism.refinement import OrderedPartition, stable_partition
+from repro.isomorphism.refinement_reference import reference_stable_partition
 from repro.metrics.ks import ks_statistic
 from repro.metrics.paths import path_length_values
 from repro.metrics.resilience import resilience_curve
@@ -24,7 +26,16 @@ def ba_graph():
 
 def test_color_refinement(benchmark, ba_graph):
     partition = benchmark(stable_partition, ba_graph)
-    assert partition.n_vertices == ba_graph.n
+    oracle = reference_stable_partition(ba_graph)
+    assert partition == oracle and partition.cells == oracle.cells
+
+
+def test_color_refinement_handover(benchmark, ba_graph, monkeypatch):
+    """One hashed round, then the worklist finishes from the unstable cells."""
+    monkeypatch.setattr(refinement, "_ROUND_BUDGET", 1)
+    partition = benchmark(stable_partition, ba_graph)
+    oracle = reference_stable_partition(ba_graph)
+    assert partition == oracle and partition.cells == oracle.cells
 
 
 def test_refine_from_individualization(benchmark, ba_graph):

@@ -4,10 +4,13 @@ Drives ``repro.arraycore.pipeline.run_pipeline`` — partition → anonymize →
 publish → backbone → sample, every post-partition stage on flat CSR arrays —
 over Barabási–Albert and Watts–Strogatz graphs at growing sizes, recording
 wall time and peak RSS per stage. At sizes where the dict oracle is feasible
-(``--parity-max``, default 2e4) the identical run is replayed through the
-seed dict oracles (``repro.core.reference.reference_pipeline``) and the
-artifact digests must match byte-for-byte: that is the parity gate, and the
-two totals give the measured speedup.
+(``--parity-max``, default 2e4) the partition is recomputed by the dict
+refinement (``reference_stable_partition``) and must equal
+``stable_partition``'s, cells in the same order; the run is then replayed
+from that oracle partition through the seed dict oracles
+(``repro.core.reference.reference_pipeline``) and the artifact digests must
+match byte-for-byte. That is the parity gate, and the two totals give the
+measured speedup.
 
 Run from the repo root::
 
@@ -38,6 +41,7 @@ from repro.arraycore.pipeline import run_pipeline
 from repro.core.reference import reference_pipeline
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.isomorphism.orbits import automorphism_partition
+from repro.isomorphism.refinement_reference import reference_stable_partition
 from repro.runtime import Stopwatch, peak_rss_bytes
 from repro.utils.rng import derive_seed
 
@@ -104,14 +108,25 @@ def run_one(family: str, n: int, k: int, seed: int, parity: bool) -> dict:
         "artifacts": array_report.artifacts,
     }
     if parity:
+        # The oracle replay starts from the oracle's own partition, so a
+        # wrong partition fails the digest comparison as well.
+        watch = Stopwatch()
+        reference_partition = reference_stable_partition(graph)
+        reference_partition_seconds = watch.elapsed()
+        partition_ok = (partition == reference_partition
+                        and partition.cells == reference_partition.cells)
         reference_report = reference_pipeline(
-            graph, k, partition=partition, copy_unit="orbit", seed=seed,
+            graph, k, partition=reference_partition, copy_unit="orbit", seed=seed,
         )
+        artifacts_ok = array_report.parity_key() == reference_report.parity_key()
         reference_total = _stage_total(reference_report)
         array_total = _stage_total(array_report)
         row["parity"] = {
             "checked": True,
-            "ok": array_report.parity_key() == reference_report.parity_key(),
+            "ok": partition_ok and artifacts_ok,
+            "partition_ok": partition_ok,
+            "artifacts_ok": artifacts_ok,
+            "reference_partition_seconds": round(reference_partition_seconds, 3),
             "reference_total_seconds": round(reference_total, 3),
             "speedup": round(reference_total / array_total, 2)
             if array_total else None,
@@ -152,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{family} n={n:>9,}  partition {row['partition_seconds']:.2f}s  "
                   f"{stage_text}  rss {row['peak_rss_bytes'] / 2**20:.0f} MiB")
             if row["parity"]["checked"]:
+                print(f"  partition parity "
+                      f"{'OK' if row['parity']['partition_ok'] else 'MISMATCH'} "
+                      f"(reference {row['parity']['reference_partition_seconds']}s)")
                 print(f"  parity {'OK' if row['parity']['ok'] else 'MISMATCH'}  "
                       f"speedup {row['parity']['speedup']}x vs reference "
                       f"({row['parity']['reference_total_seconds']}s)")
@@ -174,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     for row in runs:
         parity = row["parity"]
         if parity["checked"] and not parity["ok"]:
-            print(f"FAIL: parity mismatch at {row['family']} n={row['n']}",
+            what = " and ".join(
+                name for name in ("partition", "artifacts")
+                if not parity[f"{name}_ok"])
+            print(f"FAIL: {what} parity mismatch at {row['family']} n={row['n']}",
                   file=sys.stderr)
             failed = True
         if (args.check and parity["checked"] and parity["ok"]

@@ -153,6 +153,10 @@ def _grow(
     state = ArrayPartitionedGraph(
         OverlayGraph(indptr, indices), index_cells(labels, cells), requirements, copy_unit)
     label = grown_labels(labels, state.overlay.n)
+    grown = state.overlay.to_graph(graph, label)
+    if isinstance(label, range):
+        # Array vertices already are the labels: nothing to translate.
+        return grown, Partition(state.cells), state.records or [], state.copy_of_dict()
     records = [
         CopyRecord(
             record.cell_index,
@@ -163,7 +167,7 @@ def _grow(
     ]
     copy_of = {label[v]: label[p] for v, p in state.copy_of_dict().items()}
     partition = Partition([[label[v] for v in cell] for cell in state.cells])
-    return state.overlay.to_graph(graph, label), partition, records, copy_of
+    return grown, partition, records, copy_of
 
 
 def _anonymize_with_requirements(

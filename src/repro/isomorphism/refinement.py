@@ -32,6 +32,10 @@ lexicographically.
 The fixpoint of refinement started from the degree partition is exactly the
 "total degree partition" / graph stabilization approximation the paper's
 Section 7 proposes for graphs too large for exact automorphism computation.
+:func:`stable_partition` computes that fixpoint without the worklist when it
+can: a few hashed colour-refinement rounds over the CSR arrays, an exact
+equitability check, and a handover to ``refine`` only for what the check
+finds unstable (see its docstring and ``docs/algorithms.md`` §1).
 """
 
 from __future__ import annotations
@@ -133,6 +137,32 @@ class OrderedPartition:
     def unit(cls, vertices: Iterable[Vertex]) -> "OrderedPartition":
         vs = list(vertices)
         return cls([vs] if vs else [])
+
+    @classmethod
+    def _from_colours(cls, graph: Graph, colour: np.ndarray,
+                      sizes: np.ndarray) -> tuple["OrderedPartition", np.ndarray]:
+        """The colour classes of the graph's CSR rows, as runs in colour order.
+
+        *colour* holds one id in ``0..len(sizes)-1`` per CSR row and *sizes*
+        the class sizes (all nonzero). Slots are CSR row indices, so
+        ``_adjacency`` takes its no-translation path. Returns the partition
+        and every colour's start position.
+        """
+        csr = graph.csr()
+        op = cls.__new__(cls)
+        op._verts = csr.vertices
+        op._slot = csr.index
+        order = np.argsort(colour, kind="stable")
+        starts = np.zeros(len(sizes), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        op._order = order
+        op._pos = np.empty(len(order), dtype=np.int64)
+        op._pos[order] = np.arange(len(order), dtype=np.int64)
+        op._cstart = starts[colour]
+        op.cell_len = dict(zip(starts.tolist(), sizes.tolist()))
+        op.nonsingleton = set(starts[sizes > 1].tolist())
+        op._adj_cache = None
+        return op, starts
 
     # ------------------------------------------------------------------
 
@@ -778,6 +808,114 @@ class OrderedPartition:
         return tuple(trace)
 
 
+# Hashed rounds stable_partition runs before it hands the rest to the
+# worklist. A path or a long cycle needs O(n) rounds and the worklist does
+# not; bench_scale's BA graphs need 3 rounds and its WS graphs 7 to 10, from
+# 1e4 to 1e6 vertices.
+_ROUND_BUDGET = 32
+
+_U64 = np.uint64
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix, elementwise over a uint64 array (wrapping)."""
+    x = x + _U64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return x ^ (x >> _U64(31))
+
+
+def _active_rows(indptr: np.ndarray, indices: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Concatenated CSR rows of the ascending row ids *active*."""
+    if len(active) == len(indptr) - 1:
+        return indices
+    return _gather_rows(indptr, indices, active)
+
+
+def _hashed_rounds(indptr: np.ndarray, indices: np.ndarray, colour: np.ndarray,
+                   sizes: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to *budget* hashed colour-refinement rounds; returns (colour, sizes).
+
+    A round gives every vertex of a non-singleton class the pair (its
+    colour, the wrapping uint64 sum of its neighbours' colour weights),
+    where a weight is a fixed odd splitmix64 mix of (round, colour). Equal
+    pairs keep one colour: the first fragment of a class keeps its id and
+    the others mint fresh ones. Equal neighbour multisets give equal sums,
+    so a collision can only merge colours, never split a class refinement
+    would keep. Stops early when a round splits nothing.
+    """
+    for rnd in range(budget):
+        active = np.flatnonzero(sizes[colour] > 1)
+        if not len(active):
+            break
+        lens = indptr[active + 1] - indptr[active]
+        salt = _splitmix64(np.full(1, rnd, dtype=_U64))[0]
+        weights = _splitmix64(
+            colour[_active_rows(indptr, indices, active)].astype(_U64) ^ salt)
+        weights |= _U64(1)
+        # Row sums as differences of one running sum. The prefix must stay
+        # uint64: concatenating a Python 0 would promote it to float64.
+        running = np.zeros(len(weights) + 1, dtype=_U64)
+        np.cumsum(weights, out=running[1:])
+        bounds = np.zeros(len(active) + 1, dtype=np.int64)
+        np.cumsum(lens, out=bounds[1:])
+        sums = running[bounds[1:]] - running[bounds[:-1]]
+
+        old = colour[active]
+        order = np.lexsort((sums, old))
+        old, sums = old[order], sums[order]
+        same_class = old[1:] == old[:-1]
+        starts = np.ones(len(active), dtype=bool)
+        starts[1:] = ~same_class | (sums[1:] != sums[:-1])
+        mint = np.zeros(len(active), dtype=bool)
+        mint[1:] = starts[1:] & same_class
+        n_new = int(np.count_nonzero(mint))
+        if not n_new:
+            break
+        minted = mint[starts]
+        fragment_ids = np.where(
+            minted, len(sizes) - 1 + np.cumsum(minted), old[starts])
+        colour[active[order]] = fragment_ids[np.cumsum(starts) - 1]
+        sizes = np.bincount(colour, minlength=len(sizes) + n_new)
+    return colour, sizes
+
+
+def _unstable_scatterers(indptr: np.ndarray, indices: np.ndarray,
+                         colour: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Colours some class's members neighbour unequally often (sorted).
+
+    Exact: empty iff the colour partition is equitable. Only members of
+    non-singleton classes are counted. Per (member, neighbour colour) the
+    neighbour count is taken; a class is uniform towards a colour iff every
+    (class, colour, count) triple that occurs is shared by the whole class,
+    members with no such neighbour included.
+    """
+    n_colours = len(sizes)
+    active = np.flatnonzero(sizes[colour] > 1)
+    lens = indptr[active + 1] - indptr[active]
+    key = np.repeat(active.astype(np.int64) * n_colours, lens) \
+        + colour[_active_rows(indptr, indices, active)]
+    key, count = np.unique(key, return_counts=True)
+    member, scatterer = np.divmod(key, n_colours)
+    cell = colour[member]
+    order = np.lexsort((count, scatterer, cell))
+    cell, scatterer, count = cell[order], scatterer[order], count[order]
+    starts = np.ones(len(cell), dtype=bool)
+    starts[1:] = (cell[1:] != cell[:-1]) | (scatterer[1:] != scatterer[:-1]) \
+        | (count[1:] != count[:-1])
+    first = np.flatnonzero(starts)
+    shared_by = np.diff(np.append(first, len(cell)))
+    return np.unique(scatterer[first[shared_by != sizes[cell[first]]]])
+
+
+def _sortable(vertices: Sequence[Vertex]) -> bool:
+    try:
+        sorted(vertices)
+    except TypeError:
+        return False
+    return True
+
+
 def stable_partition(graph: Graph, initial: Partition | None = None) -> Partition:
     """The coarsest equitable partition refining *initial* (default: unit).
 
@@ -785,14 +923,43 @@ def stable_partition(graph: Graph, initial: Partition | None = None) -> Partitio
     fixpoint — the "total degree partition" ``TDV(G)`` the paper suggests as
     a scalable stand-in for the automorphism partition on very large
     networks. Every orbit of Aut(G) is contained in one of its cells.
+
+    Hashed rounds (:func:`_hashed_rounds`) compute a partition H that
+    refines *initial* and is never finer than the answer; an exact check
+    then proves H equitable, which makes H the answer. Otherwise H goes to
+    the worklist ``refine`` seeded with just the scatterers the check found
+    unstable: H is stable against every other class, so Hopcroft's
+    skip-the-largest rule still holds. The result never depends on the
+    hash. Vertex sets that do not sort keep the plain worklist run, whose
+    cell order ``Partition`` then preserves.
     """
+    vertices = graph.vertices()
+    if initial is not None and not initial.covers(vertices):
+        raise PartitionError("initial partition must cover exactly the graph's vertices")
+    if not _sortable(vertices):
+        if initial is None:
+            op = OrderedPartition.unit(vertices)
+        else:
+            op = OrderedPartition.from_partition(initial)
+        op.refine(graph)
+        return op.to_partition()
+    csr = graph.csr()
+    n = csr.n
     if initial is None:
-        op = OrderedPartition.unit(graph.vertices())
+        colour = np.zeros(n, dtype=np.int64)
     else:
-        if not initial.covers(graph.vertices()):
-            raise PartitionError("initial partition must cover exactly the graph's vertices")
-        op = OrderedPartition.from_partition(initial)
-    op.refine(graph)
+        coloring = initial.as_coloring()
+        colour = np.fromiter(map(coloring.__getitem__, csr.vertices),
+                             dtype=np.int64, count=n)
+    sizes = np.bincount(colour, minlength=1 if n else 0)
+    colour, sizes = _hashed_rounds(
+        csr.indptr, csr.indices, colour, sizes, _ROUND_BUDGET)
+    if len(sizes) == n:
+        return Partition.singletons(csr.vertices)
+    op, starts = OrderedPartition._from_colours(graph, colour, sizes)
+    scatterers = _unstable_scatterers(csr.indptr, csr.indices, colour, sizes)
+    if len(scatterers):
+        op.refine(graph, active=starts[scatterers].tolist())
     return op.to_partition()
 
 

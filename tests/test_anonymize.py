@@ -87,6 +87,29 @@ class TestContract:
         with pytest.raises(AnonymizationError):
             anonymize(g, 2, partition=Partition([[0]]))
 
+    @pytest.mark.parametrize("copy_unit", ["orbit", "component"])
+    def test_identity_and_shifted_labels_agree(self, copy_unit):
+        # Labels 0..n-1 skip the relabelling; labels shifted by 1000 take it.
+        # Fresh vertices mint from max + 1, so shifting back by 1000 maps
+        # one result onto the other exactly.
+        g = random_tree(40, rng=8)
+        shifted = Graph.from_edges([(u + 1000, v + 1000) for u, v in g.edges()])
+        plain = anonymize(g, 3, copy_unit=copy_unit)
+        moved = anonymize(shifted, 3, copy_unit=copy_unit)
+        assert plain.vertices_added > 0
+
+        def back(v):
+            return v - 1000
+
+        assert sorted(plain.graph.edges()) == sorted(
+            tuple(sorted((back(u), back(v)))) for u, v in moved.graph.edges())
+        assert plain.partition.cells == tuple(
+            tuple(back(v) for v in cell) for cell in moved.partition.cells)
+        assert plain.copy_of == {back(c): back(p) for c, p in moved.copy_of.items()}
+        assert [(r.cell_index, r.mapping, r.edges_added) for r in plain.records] == [
+            (r.cell_index, {back(v): back(c) for v, c in r.mapping.items()}, r.edges_added)
+            for r in moved.records]
+
     def test_named_graphs_need_naive_anonymization_first(self):
         g = Graph.from_edges([("alice", "bob")])
         with pytest.raises(AnonymizationError):
