@@ -107,6 +107,7 @@ def test_dense_graph_orbits(benchmark):
 def test_backbone_detection(benchmark):
     from repro.core.anonymize import anonymize
     from repro.core.backbone import backbone
+    from repro.core.reference import reference_backbone
     from repro.datasets.synthetic import load_dataset
 
     g = load_dataset("enron")
@@ -115,7 +116,9 @@ def test_backbone_detection(benchmark):
         backbone, args=(publication.graph, publication.partition),
         rounds=3, iterations=1,
     )
-    assert result.graph.n <= publication.graph.n
+    oracle = reference_backbone(publication.graph, publication.partition)
+    assert result.graph.sorted_vertices() == oracle.graph.sorted_vertices()
+    assert result.cells == oracle.cells
 
 
 def test_symmetry_report(benchmark):

@@ -10,7 +10,11 @@ refinement (``reference_stable_partition``) and must equal
 from that oracle partition through the seed dict oracles
 (``repro.core.reference.reference_pipeline``) and the artifact digests must
 match byte-for-byte. That is the parity gate, and the two totals give the
-measured speedup.
+measured speedup. At every size, parity point or not, the run also checks
+Theorem 4 (orbit copying preserves the backbone): ``backbone_arrays`` on the
+input CSR and partition must give the vertex count and cell digest of the
+publication's backbone artifact. The row records ``theorem4_ok``, and a
+mismatch fails the run.
 
 Run from the repo root::
 
@@ -37,7 +41,9 @@ import platform
 import sys
 from random import Random
 
-from repro.arraycore.pipeline import run_pipeline
+from repro.arraycore.backbone import backbone_arrays
+from repro.arraycore.pipeline import _cells_sha256, run_pipeline
+from repro.arraycore.space import array_space, index_cells
 from repro.core.reference import reference_pipeline
 from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.isomorphism.orbits import automorphism_partition
@@ -77,6 +83,13 @@ def _stage_total(report) -> float:
     return sum(stage["wall_seconds"] for stage in report.stages)
 
 
+def input_backbone(graph, partition) -> dict:
+    """The input's own backbone, in the pipeline's backbone artifact terms."""
+    indptr, indices, labels = array_space(graph)
+    alive, cells = backbone_arrays(indptr, indices, index_cells(labels, partition.cells))
+    return {"n": sum(alive), "sha256": _cells_sha256(cells)}
+
+
 def run_one(family: str, n: int, k: int, seed: int, parity: bool) -> dict:
     """One (family, size) point: array run, plus the oracle replay if asked."""
     rng = Random(derive_seed(seed, f"bench_scale/{family}/{n}"))
@@ -89,6 +102,11 @@ def run_one(family: str, n: int, k: int, seed: int, parity: bool) -> dict:
     array_report = run_pipeline(
         graph, k, partition=partition, copy_unit="orbit", seed=seed,
     )
+    # Theorem 4: orbit copying leaves the backbone unchanged, so the
+    # publication's backbone must be the input's, vertex for vertex.
+    published = array_report.artifacts["backbone"]
+    theorem4_ok = input_backbone(graph, partition) == {
+        "n": published["n"], "sha256": published["sha256"]}
     row = {
         "family": family,
         "n": graph.n,
@@ -106,6 +124,7 @@ def run_one(family: str, n: int, k: int, seed: int, parity: bool) -> dict:
         "array_total_seconds": round(_stage_total(array_report), 3),
         "peak_rss_bytes": peak_rss_bytes(),
         "artifacts": array_report.artifacts,
+        "theorem4_ok": theorem4_ok,
     }
     if parity:
         # The oracle replay starts from the oracle's own partition, so a
@@ -166,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                 for stage in row["stages"])
             print(f"{family} n={n:>9,}  partition {row['partition_seconds']:.2f}s  "
                   f"{stage_text}  rss {row['peak_rss_bytes'] / 2**20:.0f} MiB")
+            print(f"  theorem4_ok {row['theorem4_ok']}")
             if row["parity"]["checked"]:
                 print(f"  partition parity "
                       f"{'OK' if row['parity']['partition_ok'] else 'MISMATCH'} "
@@ -190,6 +210,10 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = False
     for row in runs:
+        if not row["theorem4_ok"]:
+            print(f"FAIL: the publication's backbone is not the input's (Theorem 4) "
+                  f"at {row['family']} n={row['n']}", file=sys.stderr)
+            failed = True
         parity = row["parity"]
         if parity["checked"] and not parity["ok"]:
             what = " and ".join(

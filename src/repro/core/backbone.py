@@ -11,17 +11,20 @@ subgraph G[V] are grouped by the `≅_L(V)` relation — isomorphism that also
 preserves every vertex's *exact* neighbour set outside the cell (two
 components that merely look alike but anchor to different hubs are distinct
 modules and must both survive, cf. the paper's Figure 7). All but one
-representative per class are removed. Removing vertices changes outside
-neighbourhoods elsewhere, so the sweep repeats until a full pass removes
-nothing — realising the lattice least element.
+representative per class are removed. One pass over the cells reaches the
+lattice least element: a removed component is `≅_L` to a kept one that
+anchors to the same outside vertices, so the removal changes which outside
+rows are equal in no other cell, and every cell can be classified against
+the input graph (the argument is in :mod:`repro.arraycore.backbone`).
 
 The `≅_L` grouping encodes each outside-neighbour set as a vertex color and
 buckets components by their colored canonical certificate
 (:mod:`repro.isomorphism.canonical`), so a cell with t components costs t
 certificate computations rather than O(t^2) pairwise isomorphism tests.
 
-The sweep runs on the array core (:mod:`repro.arraycore.backbone`);
-:func:`repro.core.reference.reference_backbone` is its dict oracle.
+The pass runs on the array core (:mod:`repro.arraycore.backbone`);
+:func:`repro.core.reference.reference_backbone`, which keeps the sweep
+repeated until a pass removes nothing, is its dict oracle.
 """
 
 from __future__ import annotations

@@ -48,6 +48,21 @@ Vertex = Hashable
 # Largest n whose composite key row * n + col < n**2 still fits int32.
 _COMPACT_MAX_N = 46340
 
+_U64 = np.uint64
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix, elementwise over a uint64 array (wrapping).
+
+    The fixed integer mixer behind the hashed passes over CSR rows: the
+    refinement rounds weight neighbour colours with it, the backbone hashes
+    rows with it. Returns a new array.
+    """
+    x = x + _U64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return x ^ (x >> _U64(31))
+
 
 class CSRView:
     """An immutable int-indexed CSR snapshot of a graph's adjacency.

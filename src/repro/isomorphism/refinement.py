@@ -45,6 +45,7 @@ from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from repro.graphs.csr import splitmix64
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.utils.validation import GraphStructureError, PartitionError
@@ -233,9 +234,16 @@ class OrderedPartition:
 
     def to_partition(self) -> Partition:
         if not self.nonsingleton:
-            # Discrete: Partition.singletons builds the normalized form
-            # directly, skipping the general constructor's per-cell work.
-            return Partition.singletons(self._verts)
+            try:
+                ordered = sorted(self._verts)
+            except TypeError:
+                ordered = None
+            if ordered is not None:
+                # Discrete: Partition.singletons builds the normalized form
+                # directly, skipping the general constructor's per-cell work.
+                return Partition.singletons(ordered)
+        # Labels that do not compare keep refinement position order, as in
+        # the dict oracle's partition.
         return Partition(self.cells())
 
     def labeling(self) -> dict[Vertex, int]:
@@ -817,14 +825,6 @@ _ROUND_BUDGET = 32
 _U64 = np.uint64
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64's output mix, elementwise over a uint64 array (wrapping)."""
-    x = x + _U64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
-
-
 def _active_rows(indptr: np.ndarray, indices: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Concatenated CSR rows of the ascending row ids *active*."""
     if len(active) == len(indptr) - 1:
@@ -849,8 +849,8 @@ def _hashed_rounds(indptr: np.ndarray, indices: np.ndarray, colour: np.ndarray,
         if not len(active):
             break
         lens = indptr[active + 1] - indptr[active]
-        salt = _splitmix64(np.full(1, rnd, dtype=_U64))[0]
-        weights = _splitmix64(
+        salt = splitmix64(np.full(1, rnd, dtype=_U64))[0]
+        weights = splitmix64(
             colour[_active_rows(indptr, indices, active)].astype(_U64) ^ salt)
         weights |= _U64(1)
         # Row sums as differences of one running sum. The prefix must stay

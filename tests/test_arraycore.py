@@ -44,7 +44,13 @@ from repro.core.reference import (
 from repro.core.republish import GraphDelta, republish_published
 from repro.core.sampling import sample_approximate, sample_exact
 from repro.datasets.paper_graphs import figure3_graph
-from repro.graphs.generators import barabasi_albert_graph, watts_strogatz_graph
+from repro.graphs.generators import (
+    barabasi_albert_graph,
+    complete_bipartite_graph,
+    path_graph,
+    star_graph,
+    watts_strogatz_graph,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.io import write_edge_list
 from repro.graphs.partition import Partition
@@ -416,6 +422,104 @@ class TestClosedFormGrowth:
         assert list(state.copy_of_dict().items()) == list(twin.copy_of.items())
 
 
+def _assert_backbone_parity(graph, partition):
+    """backbone_arrays through the label boundary against the oracle."""
+    oracle = reference_backbone(graph, partition)
+    indptr, indices, labels = array_space(graph)
+    alive, cells = backbone_arrays(indptr, indices, index_cells(labels, partition.cells))
+    survivors = [labels[v] for v in range(len(labels)) if alive[v]]
+    assert survivors == oracle.graph.sorted_vertices()
+    assert [[labels[v] for v in cell] for cell in cells] == oracle.cells
+    return oracle
+
+
+def _oracle_sweeps(graph, partition, order):
+    """The oracle's sequential sweep with the cells visited in *order*.
+
+    Returns the surviving vertices, the cells and the number of vertices
+    each sweep removed (the last sweep removes none).
+    """
+    work = graph.copy()
+    cells = [sorted(cell) for cell in partition.cells]
+    removed_per_sweep = []
+    while not removed_per_sweep or removed_per_sweep[-1]:
+        removed = 0
+        for index in order:
+            if len(cells[index]) < 2:
+                continue
+            keep = []
+            for cls in reference_component_classes(work, cells[index]):
+                keep.extend(cls[0])
+                for extra in cls[1:]:
+                    work.remove_vertices(extra)
+                    removed += len(extra)
+            cells[index] = sorted(keep)
+        removed_per_sweep.append(removed)
+    return work.sorted_vertices(), cells, removed_per_sweep
+
+
+@st.composite
+def _backbone_cases(draw):
+    """A small graph with twins grafted on, under one of three partitions:
+    its orbit partition, an anonymized pair (k = 2 or 3, either copy unit)
+    or an arbitrary covering partition."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = Graph.from_edges(edges, vertices=range(n))
+    grafts = st.tuples(st.integers(0, n - 1), st.booleans())
+    for origin, adjacent in draw(st.lists(grafts, max_size=4)):
+        twin = graph.n
+        graph.add_vertex(twin)
+        for u in sorted(graph.neighbors(origin)):
+            graph.add_edge(twin, u)
+        if adjacent:
+            graph.add_edge(origin, twin)
+    kind = draw(st.sampled_from(["orbit", "anonymized", "arbitrary"]))
+    if kind == "orbit":
+        return graph, automorphism_partition(graph).orbits
+    if kind == "anonymized":
+        k = draw(st.integers(2, 3))
+        result = anonymize(graph, k, copy_unit=draw(st.sampled_from(["orbit", "component"])))
+        return result.graph, result.partition
+    labels = draw(st.lists(st.integers(0, 3), min_size=graph.n, max_size=graph.n))
+    vertices = graph.vertices()
+    return graph, Partition(
+        [[v for v in vertices if labels[v] == label] for label in dict.fromkeys(labels)])
+
+
+def _star_with_twin_pairs():
+    """Hub 0 with leaves 1-3 and the joined pairs (4, 5), (6, 7) in one cell."""
+    graph = Graph.from_edges([(0, v) for v in range(1, 8)] + [(4, 5), (6, 7)])
+    return graph, Partition([[0], list(range(1, 8))])
+
+
+def _isolated_rows():
+    """Isolated vertices at the start, middle and end of the CSR rows."""
+    graph = Graph.from_edges([(1, 2), (2, 3), (3, 4), (6, 7), (7, 8), (4, 6)],
+                             vertices=range(10))
+    return graph, Partition([[0, 5, 9], [1, 8], [2, 7], [3, 6], [4]])
+
+
+#: hand-built shapes: name -> a function returning (graph, partition)
+BACKBONE_SHAPES = {
+    "star-leaves": lambda: (star_graph(6), Partition([[0], list(range(1, 7))])),
+    "k23": lambda: (complete_bipartite_graph(2, 3), Partition([[0, 1], [2, 3, 4]])),
+    "adjacent-twins": lambda: (
+        Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]),
+        Partition([[0, 1], [2], [3]])),
+    "cell-with-both": _star_with_twin_pairs,
+    "isolated-rows": _isolated_rows,
+    "edgeless": lambda: (Graph.from_edges([], vertices=range(6)),
+                         Partition([[0, 1, 2], [3, 4, 5]])),
+    "empty": lambda: (Graph(), Partition([])),
+    "one-big-cell": lambda: (_ws(n=60), Partition([range(60)])),
+    "one-big-flat-cell": lambda: (star_graph(300), Partition([[0], range(1, 301)])),
+    "flat-cells-mixed-degrees": lambda: (path_graph(4), Partition([[0, 2], [1, 3]])),
+    "ws-publication-k3": lambda: anonymize(_ws(n=60), 3).published()[:2],
+}
+
+
 class TestBackboneArrays:
     @pytest.mark.parametrize("builder", [_ba, _ws])
     def test_matches_dict_backbone_on_published_pair(self, builder):
@@ -424,12 +528,83 @@ class TestBackboneArrays:
         result = anonymize(builder(), 2, method="stabilization")
         graph, partition, _ = parse_publication(*publication_texts(*result.published()))
         assert graph.vertices() != graph.sorted_vertices()
-        oracle = reference_backbone(graph, partition)
-        indptr, indices, labels = array_space(graph)
-        alive, cells = backbone_arrays(indptr, indices, index_cells(labels, partition.cells))
-        survivors = [labels[v] for v in range(len(labels)) if alive[v]]
-        assert survivors == oracle.graph.sorted_vertices()
-        assert [[labels[v] for v in cell] for cell in cells] == oracle.cells
+        _assert_backbone_parity(graph, partition)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_backbone_cases())
+    def test_matches_oracle_on_any_partition(self, case):
+        _assert_backbone_parity(*case)
+
+    @pytest.mark.parametrize("name", sorted(BACKBONE_SHAPES))
+    def test_pinned_shapes(self, name):
+        _assert_backbone_parity(*BACKBONE_SHAPES[name]())
+
+    @pytest.mark.parametrize("name", sorted(BACKBONE_SHAPES))
+    def test_forced_collisions_change_nothing(self, name, monkeypatch):
+        monkeypatch.setattr(repro.arraycore.backbone, "splitmix64", np.zeros_like)
+        _assert_backbone_parity(*BACKBONE_SHAPES[name]())
+
+    @staticmethod
+    def _per_cell_calls(monkeypatch):
+        """The member lists the per-cell path is called with, as they come."""
+        calls = []
+        original = repro.arraycore.backbone.component_classes_arrays
+
+        def spy(row_of, alive, members):
+            calls.append(list(members))
+            return original(row_of, alive, members)
+
+        monkeypatch.setattr(repro.arraycore.backbone, "component_classes_arrays", spy)
+        return calls
+
+    def test_flat_cells_skip_the_per_cell_path(self, monkeypatch):
+        # Every cell of a k=2 publication of an asymmetric BA graph is a
+        # vertex and its non-adjacent copy: the batched path removes every
+        # copy and the per-cell path never runs.
+        graph, partition = anonymize(_ba(), 2, method="stabilization").published()[:2]
+        assert all(len(cell) == 2 for cell in partition.cells)
+        calls = self._per_cell_calls(monkeypatch)
+        oracle = _assert_backbone_parity(graph, partition)
+        assert oracle.n_removed == len(partition)
+        assert calls == []
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_boundaries_inside_rows(self, chunk, monkeypatch):
+        # The entry passes carry the running sum and the row ranges across
+        # chunks; a wrong carry shows up as collisions on the per-cell path.
+        monkeypatch.setattr(repro.arraycore.backbone, "BACKBONE_CHUNK", chunk)
+        for name in sorted(BACKBONE_SHAPES):
+            _assert_backbone_parity(*BACKBONE_SHAPES[name]())
+        graph, partition = anonymize(_ws(n=60), 2, method="stabilization").published()[:2]
+        calls = self._per_cell_calls(monkeypatch)
+        _assert_backbone_parity(graph, partition)
+        assert calls == []
+
+    def test_collided_cells_take_the_per_cell_path(self, monkeypatch):
+        graph, partition = _isolated_rows()
+        calls = self._per_cell_calls(monkeypatch)
+        _assert_backbone_parity(graph, partition)
+        assert calls == []
+        # With every hash equal, the flat cells whose rows differ collide.
+        monkeypatch.setattr(repro.arraycore.backbone, "splitmix64", np.zeros_like)
+        _assert_backbone_parity(graph, partition)
+        assert calls == [[1, 8], [2, 7], [3, 6]]
+
+    def test_cells_with_an_internal_edge_take_the_per_cell_path(self, monkeypatch):
+        graph, partition = _star_with_twin_pairs()
+        calls = self._per_cell_calls(monkeypatch)
+        oracle = _assert_backbone_parity(graph, partition)
+        assert calls == [list(range(1, 8))]
+        assert oracle.cells == [[0], [1, 4, 5]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_backbone_cases())
+    def test_one_sweep_is_the_fixpoint_in_any_cell_order(self, case):
+        graph, partition = case
+        forward = _oracle_sweeps(graph, partition, range(len(partition)))
+        backward = _oracle_sweeps(graph, partition, reversed(range(len(partition))))
+        assert forward[2][1:] in ([], [0])
+        assert backward[:2] == forward[:2]
 
 
 class TestPublicationArrays:

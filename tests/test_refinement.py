@@ -315,7 +315,7 @@ class TestHashedStablePartition:
     def test_colliding_weights_are_caught_by_the_check(self, monkeypatch):
         # Every weight equal: a round sees only degrees, so the rounds stop
         # at the degree partition and the exact check must hand over.
-        monkeypatch.setattr(refinement, "_splitmix64", np.zeros_like)
+        monkeypatch.setattr(refinement, "splitmix64", np.zeros_like)
         spy = _RefineSpy(monkeypatch)
         graph = FAMILIES["cycle-with-tail"]()
         _assert_parity(graph)
@@ -328,14 +328,15 @@ class TestHashedStablePartition:
             vertices=["z", 4],
         )
         _assert_parity(graph)
-        # A discrete result over unsortable vertices lists its cells in the
-        # worklist's slot order, which the dict oracle does not share.
+        # A discrete result over unsortable vertices lists its cells in
+        # refinement position order, as the dict oracle does.
         initial = Partition([[0, 1, 2, 3, 4], ["a", "b", "c", "z"]])
         worklist = OrderedPartition.from_partition(initial)
         worklist.refine(graph)
         fast = stable_partition(graph, initial=initial)
         assert fast == reference_stable_partition(graph, initial=initial)
         assert fast.cells == worklist.to_partition().cells
+        assert fast.cells == reference_stable_partition(graph, initial=initial).cells
         spy = _RefineSpy(monkeypatch)
         stable_partition(graph)
         stable_partition(graph, initial=initial)
